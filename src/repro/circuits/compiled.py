@@ -1,10 +1,9 @@
-"""Compile-once circuit execution: frozen packed artifacts (PR 6).
+"""Compile-once circuit execution: frozen packed artifacts.
 
-The per-op batched engine path (:meth:`CircuitEngine._execute`) rebuilds
-its value dictionaries, regeneration buffers and per-(cell, group) word
-lists on *every* run, and issues one phasor GEMM per (level, operation).
 This module compiles a netlist **once** into a :class:`CompiledCircuit`
-artifact and executes batches against it:
+artifact and executes batches against it -- the one batched execution
+path of both modes (:meth:`CircuitEngine.run` and the coalescing
+:class:`~repro.circuits.executor.CircuitExecutor` both land here):
 
 * an immutable level schedule with integer *slot* tables (every node is
   a row of one preallocated ``(n_slots, padded)`` value buffer -- no
@@ -22,24 +21,29 @@ artifact and executes batches against it:
   exactly like :class:`~repro.core.faults.FaultySimulator`'s inherited
   calibration path).
 
-Semantics are pinned to the per-op path: identical noise seeds (one
-derived model per (cell, group)), identical fault mutation order
-(noise first, then the victim column), identical dead-decode marking
-and strict-mode error messages.  Phasor bits are exact and margins
-agree to ~1e-15 (the only difference is BLAS reassociation over the
-packed k-dimension); trace mode reuses
-:meth:`~repro.core.simulate.GateSimulator.run_batch` on ndarray
-gathers, so it shares the time-domain physics verbatim.
+Semantics are pinned to the scalar reference
+:meth:`CircuitEngine.run_scalar`: identical noise seeds (one derived
+model per (cell, group)), identical fault mutation order (noise first,
+then the victim column), identical dead-decode marking and strict-mode
+error messages.  Phasor bits are exact and margins agree to ~1e-15 (the
+only difference is BLAS reassociation over the packed k-dimension);
+trace mode reuses :meth:`~repro.core.simulate.GateSimulator.run_batch`
+on ndarray gathers, so it shares the time-domain physics verbatim.
 ``tests/test_circuit_conformance.py`` pins both modes against
 :meth:`CircuitEngine.run_scalar` to <= 1e-12.
+
+Two configurations are refused rather than rerouted: placement noise
+(``position_sigma > 0``; its per-cell geometry cannot ride baked
+weights -- :meth:`CircuitEngine.run_scalar` is its study path) raises
+:class:`~repro.errors.NetlistError` up front, and execution after a
+simulator hook was replaced (:func:`physics_pristine` false) raises
+:class:`~repro.errors.SimulationError`, since the baked artifact would
+silently skip the override.
 
 Artifacts key on :func:`netlist_signature` (a content hash of the DAG
 plus outputs) -- :class:`CompiledCircuitCache` is the LRU compile cache
 the coalescing :class:`~repro.circuits.executor.CircuitExecutor` serves
-many circuits from.  :func:`physics_pristine` guards the whole layer:
-when any simulator hook has been replaced (subclassing experiments,
-monkeypatched tests), the engine falls back to the per-op path whose
-hooks still fire.
+many circuits from.
 """
 
 import hashlib
@@ -53,25 +57,31 @@ import numpy as np
 
 from repro import obs
 from repro.circuits.engine import (
-    CellFault,
     CellRecord,
     CircuitRunResult,
     LevelReport,
+    check_mode,
+    input_block,
+    normalise_faults,
 )
 from repro.circuits.library import PHYSICAL_BINDINGS, physical_arity
 from repro.core.faults import FaultySimulator
 from repro.core.readout import decode_phasor_block
 from repro.core.simulate import GateSimulator
-from repro.errors import ArtifactError, NetlistError, SimulationError
+from repro.errors import (
+    ArtifactError,
+    EncodingError,
+    NetlistError,
+    SimulationError,
+)
 from repro.waveguide.linear_model import LinearWaveguideModel
 
 # ----------------------------------------------------------------------
 # Physics pristineness: the packed path bakes the *current* simulator
 # semantics in at compile time.  If any of these hooks is later replaced
 # (a subclass experiment assigned onto the class, a monkeypatched test),
-# the baked artifact would silently skip the override -- so the engine
-# checks this snapshot and falls back to the per-op path, where every
-# hook still fires.
+# the baked artifact would silently skip the override -- so execution
+# checks this snapshot and refuses to run.
 # ----------------------------------------------------------------------
 _PRISTINE_HOOKS = (
     (GateSimulator, "build_sources"),
@@ -123,26 +133,36 @@ def netlist_signature(netlist):
     return digest.hexdigest()
 
 
-def _normalise_faults(netlist, faults):
-    """{cell name: TransducerFault} with the engine's validation rules."""
-    fault_map = {}
-    for item in faults:
-        if not isinstance(item, CellFault):
-            raise NetlistError(
-                f"faults must be CellFault instances, got {item!r}"
+def validate_request(netlist, n_bits, batch, faults, noise, mode):
+    """The up-front checks of one packed request.
+
+    Shared by :meth:`CompiledCircuit.run` and
+    :meth:`~repro.circuits.executor.CircuitExecutor.submit`, so a bad
+    request raises at its call site, never mid-block.  Returns
+    ``(input block, fault map)``; see
+    :func:`~repro.circuits.engine.input_block` and
+    :func:`~repro.circuits.engine.normalise_faults`.
+    """
+    check_mode(mode)
+    if noise is not None and noise.position_sigma > 0:
+        raise NetlistError(
+            "placement noise (position_sigma > 0) perturbs every cell's "
+            "geometry, which the compiled weights cannot represent; "
+            "study it with CircuitEngine.run_scalar"
+        )
+    fault_map = normalise_faults(netlist, faults)
+    for cell, fault in fault_map.items():
+        # FaultySimulator's range checks, run before any physics.
+        arity = physical_arity(netlist.node(cell).kind)
+        if not 0 <= fault.channel < n_bits:
+            raise EncodingError(
+                f"fault channel {fault.channel} out of range"
             )
-        node = netlist.node(item.cell)
-        if node.kind not in PHYSICAL_BINDINGS:
-            raise NetlistError(
-                f"cell {item.cell!r} ({node.kind}) has no transducers "
-                "to fault (INV/BUF are detector-placement choices)"
+        if not 0 <= fault.input_index < arity:
+            raise EncodingError(
+                f"fault input index {fault.input_index} out of range"
             )
-        if item.cell in fault_map:
-            raise NetlistError(
-                f"cell {item.cell!r} carries more than one fault"
-            )
-        fault_map[item.cell] = item.fault
-    return fault_map
+    return input_block(netlist, batch), fault_map
 
 
 class _OpPlan:
@@ -203,10 +223,6 @@ class CompiledCircuit:
     schedule, slot tables and packed weight matrices never change after
     compilation; per-run scratch (value/excitation buffers, the failed
     mask) is preallocated per batch shape and reused.
-
-    ``packable`` is False when some operation's calibration fails (the
-    physics cannot produce a reference) -- the engine then falls back to
-    the per-op path, which raises the same error lazily.
     """
 
     def __init__(self, netlist, bindings, registry=None):
@@ -215,8 +231,6 @@ class CompiledCircuit:
         self.n_bits = bindings.n_bits
         self.signature = netlist_signature(netlist)
         self.topology_revision = netlist.topology_revision
-        self.packable = True
-        self.unpackable_reason = None
         # Compile spans/counters go to the caller's registry when given
         # (the executor's compile cache passes its private one, so
         # handler-thread compiles never touch the process-global span
@@ -269,13 +283,15 @@ class CompiledCircuit:
         order = self.netlist.topological_order()
         self._slots = {name: i for i, name in enumerate(order)}
         self.n_slots = len(order)
-        self._input_rows = []
+        # Rows of the input block (sorted input names, see input_block).
+        self._input_slots = np.array(
+            [self._slots[name] for name in sorted(self.netlist.inputs)],
+            dtype=int,
+        )
         self._const_rows = []
         for name in order:
             node = self.netlist.node(name)
-            if node.kind == "input":
-                self._input_rows.append((name, self._slots[name]))
-            elif node.kind == "const0":
+            if node.kind == "const0":
                 self._const_rows.append((self._slots[name], 0))
             elif node.kind == "const1":
                 self._const_rows.append((self._slots[name], 1))
@@ -327,9 +343,8 @@ class CompiledCircuit:
 
         Skipped entirely for purely virtual netlists, so compiling and
         running them touches no physics (the engine's lazily-built model
-        stays unbuilt).  A calibration failure marks the artifact
-        unpackable instead of raising: the per-op path reproduces the
-        error lazily, at the moment the legacy semantics would.
+        stays unbuilt).  A nominal calibration failure raises its
+        :class:`~repro.errors.SimulationError` here, at compile time.
         """
         if not self.has_physical:
             return
@@ -338,15 +353,7 @@ class CompiledCircuit:
             for op in plan.ops:
                 if op.operation not in tables:
                     simulator = self.bindings.simulator(op.operation)
-                    try:
-                        cal_phases, cal_amps = simulator.calibration_arrays()
-                    except SimulationError as exc:
-                        self.packable = False
-                        self.unpackable_reason = (
-                            f"operation {op.operation!r} failed to "
-                            f"calibrate: {exc}"
-                        )
-                        return
+                    cal_phases, cal_amps = simulator.calibration_arrays()
                     tables[op.operation] = (
                         simulator.nominal_weights(),
                         cal_phases,
@@ -359,8 +366,8 @@ class CompiledCircuit:
                  op.amp_row, op.amplitude_readout) = tables[op.operation]
         # Cross-op packing: one block-diagonal weight matrix per level
         # (memoised per operation combination -- levels sharing a combo
-        # share one matrix).  Single-op levels use the per-op weights
-        # directly, so their GEMM is bit-identical to the per-op path.
+        # share one matrix).  Single-op levels use the operation's own
+        # weights directly.
         stack_memo = {}
         n_bits = self.n_bits
         for plan in self.levels:
@@ -440,8 +447,8 @@ class CompiledCircuit:
         calibration path builds the zero-word bank and mutates it), so a
         fault that silences the all-zeros reference -- e.g. stuck-phase-1
         on an XOR2 input -- yields None here and every row of that cell
-        decodes dead, exactly like the per-op path's batch-wide
-        calibration failure.
+        decodes dead, exactly like the scalar reference, whose every
+        call of that cell fails calibration.
         """
         key = (operation, fault)
         if key not in self._faulty_cal:
@@ -455,32 +462,17 @@ class CompiledCircuit:
     # ------------------------------------------------------------------
     # Input marshalling
     # ------------------------------------------------------------------
-    def _write_inputs(self, buf, batch, group_start, group_end):
-        """Write one request's assignments into its group span of ``buf``.
+    def _write_inputs(self, buf, block, group_start, group_end):
+        """Write one request's input block into its group span of ``buf``.
 
-        Same validation and truncation semantics as the engine's
-        ``_input_values`` (the buffer rows replace its per-run arrays);
-        padding tail bits are explicitly zeroed because the buffer is
-        reused across runs.
+        ``block`` is the validated ``(n_inputs, n_entries)`` array of
+        :func:`~repro.circuits.engine.input_block`; padding tail bits
+        are explicitly zeroed because the buffer is reused across runs.
         """
-        n_bits = self.n_bits
-        start = group_start * n_bits
-        end = group_end * n_bits
-        n_entries = len(batch)
-        for name, slot in self._input_rows:
-            try:
-                column = [a[name] for a in batch]
-            except KeyError:
-                raise NetlistError(
-                    f"no value supplied for input {name!r}"
-                ) from None
-            row = buf[slot]
-            row[start + n_entries : end] = 0
-            row[start : start + n_entries] = np.asarray(
-                column, dtype=np.int64
-            )
-            if not np.isin(row[start : start + n_entries], (0, 1)).all():
-                raise NetlistError("logic values must all be 0 or 1")
+        start = group_start * self.n_bits
+        stop = start + block.shape[1]
+        buf[self._input_slots, start:stop] = block
+        buf[self._input_slots, stop : group_end * self.n_bits] = 0
 
     @staticmethod
     def _derived_noise(context, physical_index):
@@ -513,8 +505,17 @@ class CompiledCircuit:
         via :meth:`_first_dead` so one coalesced failure cannot poison
         its neighbours.  ``registry`` routes the level spans/counters
         (the executor passes its private registry; direct callers
-        default to the process-global one).
+        default to the process-global one).  Raises
+        :class:`~repro.errors.SimulationError` when a simulator hook the
+        artifact baked in has been replaced (:func:`physics_pristine`).
         """
+        if not physics_pristine():
+            raise SimulationError(
+                "a simulator physics hook was replaced after import; the "
+                "compiled artifact bakes the original physics in and "
+                "cannot honour the override -- use "
+                "CircuitEngine.run_scalar"
+            )
         level_data = []
         dead_meta = []
         draws = {}
@@ -695,8 +696,9 @@ class CompiledCircuit:
         Per-gate time grids differ, so trace mode cannot cross-op pack;
         instead each operation's (cell, group) rows partition by fault
         and run through the array-native
-        :meth:`~repro.core.simulate.GateSimulator.run_batch` -- the same
-        physics as the per-op path, fed straight from the value buffer.
+        :meth:`~repro.core.simulate.GateSimulator.run_batch` -- the
+        batched form of the scalar reference's per-entry ``run``, fed
+        straight from the value buffer.
         """
         n_bits = self.n_bits
         for op_index, op in enumerate(plan.ops):
@@ -770,9 +772,9 @@ class CompiledCircuit:
     def _first_dead(self, packed, group_start, group_end):
         """The strict-mode error of a request's group span, or None.
 
-        Picks the first dead decode in the per-op path's iteration order
-        (level, sorted op, nominal-before-faulted, schedule position,
-        group) so strict mode raises the identical message.
+        Picks the first dead decode in the scalar reference's iteration
+        order (level, sorted op, nominal-before-faulted, schedule
+        position, group) so strict mode raises the identical message.
         """
         worst = None
         for level, op_index, is_faulted, cell_index, group, name in (
@@ -879,38 +881,18 @@ class CompiledCircuit:
             mode="phasor"):
         """Evaluate a batch against the compiled artifact.
 
-        Same contract as :meth:`CircuitEngine.run` (which routes here by
-        default); raises for configurations the artifact cannot
-        reproduce bit-identically -- the engine's ``_run_packed`` guard
-        catches those *before* calling, so direct callers see a clear
-        error rather than silently divergent physics.
+        Same contract as :meth:`CircuitEngine.run`, which routes here.
         """
-        if mode not in ("phasor", "trace"):
-            raise NetlistError(
-                f"unknown execution mode {mode!r}; "
-                "supported: 'phasor', 'trace'"
-            )
-        if not self.packable:
-            raise SimulationError(
-                f"netlist {self.netlist.name!r} is not packable: "
-                f"{self.unpackable_reason}"
-            )
-        if noise is not None and noise.position_sigma > 0:
-            raise SimulationError(
-                "per-entry placement noise perturbs the source geometry; "
-                "the packed path bakes nominal weights in -- use "
-                "CircuitEngine.run(packed=False)"
-            )
         batch = list(assignments_batch)
-        if not batch:
-            raise NetlistError("no assignments supplied")
-        fault_map = _normalise_faults(self.netlist, faults)
+        block, fault_map = validate_request(
+            self.netlist, self.n_bits, batch, faults, noise, mode
+        )
         n_bits = self.n_bits
         n_entries = len(batch)
         n_groups = -(-n_entries // n_bits)
         padded = n_groups * n_bits
         buf, failed = self._buffers(padded)
-        self._write_inputs(buf, batch, 0, n_groups)
+        self._write_inputs(buf, block, 0, n_groups)
         n_valid = [
             min(n_entries - group * n_bits, n_bits)
             for group in range(n_groups)
@@ -1035,7 +1017,7 @@ class CompiledCircuit:
 
 #: On-disk artifact format version; :meth:`CompiledCircuit.load`
 #: refuses snapshots written by an incompatible layout.
-ARTIFACT_FORMAT = 1
+ARTIFACT_FORMAT = 2
 
 #: Per-process runtime state excluded from saved artifacts: bindings
 #: are re-attached on load, scratch buffers and faulty-simulator

@@ -6,8 +6,7 @@ backend: a :class:`CircuitEngine` compiles an arbitrary MAJ/XOR/INV DAG
 into the levelized schedule cached on the netlist, maps every physical
 cell operation to one shared data-parallel gate
 (:func:`~repro.circuits.library.physical_gate`), and executes whole
-input-assignment batches level by level through
-:meth:`~repro.core.simulate.GateSimulator.run_phasor_batch` -- the
+input-assignment batches level by level -- the
 :class:`~repro.core.cascade.GateCascade` regeneration semantics
 generalised to arbitrary wiring with fanout, constants and
 detector-placement inversion.
@@ -16,15 +15,21 @@ Execution model
 ---------------
 Each physical cell is an ``n_bits``-wide gate: channel ``c`` carries
 circuit instance ``c`` of a group, so a batch of ``B`` assignments packs
-into ``ceil(B / n_bits)`` word groups.  Within one level, every
-``(cell, group)`` pair of one operation evaluates as a single batched
-phasor call (one complex GEMM against the propagation weights cached on
-the engine's shared :class:`~repro.waveguide.LinearWaveguideModel`).
-Between levels the decoded word is re-excited at full amplitude --
-transduced regeneration, the robust cascade option of Section III -- so
-INV and BUF cells cost nothing: inversion is a detector-placement /
-re-excitation phase choice at the regeneration boundary, exactly the
-free-inverter rule the cell library prices.
+into ``ceil(B / n_bits)`` word groups.  Between levels the decoded word
+is re-excited at full amplitude -- transduced regeneration, the robust
+cascade option of Section III -- so INV and BUF cells cost nothing:
+inversion is a detector-placement / re-excitation phase choice at the
+regeneration boundary, exactly the free-inverter rule the cell library
+prices.
+
+Circuits execute one of two ways.  :meth:`CircuitEngine.run` is the one
+batched path: it lowers the netlist once into a
+:class:`~repro.circuits.compiled.CompiledCircuit` (cross-op packed
+level GEMMs against the propagation weights cached on the engine's
+shared :class:`~repro.waveguide.LinearWaveguideModel`) and executes
+every batch against it.  :meth:`CircuitEngine.run_scalar` is the
+reference: one ``run_phasor`` (or full ``run``) call per (cell, group),
+the loop the packed path is pinned to.
 
 Two execution *modes* share this schedule.  The default ``"phasor"``
 mode evaluates steady-state phasors only; ``"trace"`` mode
@@ -39,8 +44,8 @@ analysis window -- so propagation delay, causal wavefronts and
 finite-window phase estimation are all part of circuit execution, not
 just of single-gate studies.  Both modes share the fault plumbing, the
 per-(cell, group) noise seeding and the per-level decode-margin
-reports; ``tests/test_circuit_conformance.py`` pins all four semantics
-(Boolean, scalar cascade, batched phasor, batched trace) against each
+reports; ``tests/test_circuit_conformance.py`` pins the Boolean model,
+the scalar reference and the packed path in both modes against each
 other on randomized netlists.
 
 Faults (:class:`CellFault`, reusing
@@ -49,9 +54,9 @@ transducer noise (:class:`~repro.waveguide.NoiseModel`, one independent
 derived seed per cell and group) inject at any physical cell; decode
 errors then *propagate* through later levels instead of raising, which
 is what circuit-level fault coverage and noise-robustness experiments
-measure.  :meth:`CircuitEngine.run_scalar` keeps the per-cell
-``run_phasor`` loop as the pinned ground-truth reference (and the
-benchmark baseline).
+measure.  Placement noise (``position_sigma > 0``) moves every cell's
+transducers, which baked packed weights cannot represent, so only
+:meth:`CircuitEngine.run_scalar` serves it.
 
 A purely virtual circuit needs no physics at all:
 
@@ -97,6 +102,77 @@ class CellFault:
     def describe(self):
         """Short label for reports."""
         return f"{self.cell}:{self.fault.describe()}"
+
+
+def check_mode(mode):
+    """Raise :class:`~repro.errors.NetlistError` for an unknown mode."""
+    if mode not in ("phasor", "trace"):
+        raise NetlistError(
+            f"unknown execution mode {mode!r}; "
+            "supported: 'phasor', 'trace'"
+        )
+
+
+def input_block(netlist, batch):
+    """Validated primary-input bits of ``batch`` as one int64 block.
+
+    Returns an ``(n_inputs, n_entries)`` array whose rows follow
+    ``sorted(netlist.inputs)``: the input names are part of the netlist
+    signature but their insertion order is not, so every netlist that
+    shares a compiled artifact (and a coalesced block) shares this row
+    order.  Every input must be present in every assignment, and every
+    value must be a bool or a number equal to 0 or 1 -- fractional
+    (``0.7``), string (``"1"``) and ``None`` values raise
+    :class:`~repro.errors.NetlistError` before any int64 cast could
+    truncate them.  The check runs once over the whole block.
+    """
+    if not batch:
+        raise NetlistError("no assignments supplied")
+    names = sorted(netlist.inputs)
+    try:
+        rows = [[assignment[name] for name in names] for assignment in batch]
+    except KeyError as exc:
+        raise NetlistError(
+            f"no value supplied for input {exc.args[0]!r}"
+        ) from None
+    try:
+        block = np.array(rows)
+    except ValueError:  # ragged nested values
+        block = None
+    if (
+        block is None
+        or block.shape != (len(batch), len(names))
+        or block.dtype.kind not in "biuf"
+        or not np.isin(block, (0, 1)).all()
+    ):
+        raise NetlistError("logic values must all be 0 or 1")
+    return block.T.astype(np.int64)
+
+
+def normalise_faults(netlist, faults):
+    """``{cell name: TransducerFault}`` from an iterable of :class:`CellFault`.
+
+    Rejects non-:class:`CellFault` items, faults on cells without
+    transducers (INV/BUF/inputs) and more than one fault per cell.
+    """
+    fault_map = {}
+    for item in faults:
+        if not isinstance(item, CellFault):
+            raise NetlistError(
+                f"faults must be CellFault instances, got {item!r}"
+            )
+        node = netlist.node(item.cell)
+        if node.kind not in PHYSICAL_BINDINGS:
+            raise NetlistError(
+                f"cell {item.cell!r} ({node.kind}) has no transducers "
+                "to fault (INV/BUF are detector-placement choices)"
+            )
+        if item.cell in fault_map:
+            raise NetlistError(
+                f"cell {item.cell!r} carries more than one fault"
+            )
+        fault_map[item.cell] = item.fault
+    return fault_map
 
 
 @dataclass
@@ -271,8 +347,8 @@ class CircuitEngine:
 
         Compiled lazily on first use and cached until the netlist's
         topology revision moves; the artifact owns the cross-op packed
-        weight matrices and preallocated buffers the default
-        :meth:`run` path executes against.
+        weight matrices and preallocated buffers :meth:`run` executes
+        against.
         """
         from repro.circuits.compiled import compile_circuit
 
@@ -282,57 +358,8 @@ class CircuitEngine:
         return self._compiled
 
     # ------------------------------------------------------------------
-    # Batch plumbing
+    # Scalar plumbing
     # ------------------------------------------------------------------
-    def _normalise_batch(self, assignments_batch):
-        batch = list(assignments_batch)
-        if not batch:
-            raise NetlistError("no assignments supplied")
-        return batch
-
-    def _normalise_faults(self, faults):
-        fault_map = {}
-        for item in faults:
-            if not isinstance(item, CellFault):
-                raise NetlistError(
-                    f"faults must be CellFault instances, got {item!r}"
-                )
-            node = self.netlist.node(item.cell)
-            if node.kind not in PHYSICAL_BINDINGS:
-                raise NetlistError(
-                    f"cell {item.cell!r} ({node.kind}) has no transducers "
-                    "to fault (INV/BUF are detector-placement choices)"
-                )
-            if item.cell in fault_map:
-                raise NetlistError(
-                    f"cell {item.cell!r} carries more than one fault"
-                )
-            fault_map[item.cell] = item.fault
-        return fault_map
-
-    def _input_values(self, batch, padded):
-        """{level-0 node: (padded,) int array} from the assignments."""
-        values = {}
-        for name in self.netlist.topological_order():
-            node = self.netlist.node(name)
-            if node.kind == "input":
-                try:
-                    column = [a[name] for a in batch]
-                except KeyError:
-                    raise NetlistError(
-                        f"no value supplied for input {name!r}"
-                    ) from None
-                array = np.zeros(padded, dtype=np.int64)
-                array[: len(batch)] = np.asarray(column, dtype=np.int64)
-                if not np.isin(array[: len(batch)], (0, 1)).all():
-                    raise NetlistError("logic values must all be 0 or 1")
-                values[name] = array
-            elif node.kind == "const0":
-                values[name] = np.zeros(padded, dtype=np.int64)
-            elif node.kind == "const1":
-                values[name] = np.ones(padded, dtype=np.int64)
-        return values
-
     def _cell_noise(self, noise, cell_name, group, n_groups):
         """An independent, deterministic noise model per (cell, group)."""
         if noise is None:
@@ -366,7 +393,7 @@ class CircuitEngine:
     # Execution
     # ------------------------------------------------------------------
     def run(self, assignments_batch, faults=(), noise=None, strict=True,
-            mode="phasor", packed=True):
+            mode="phasor"):
         """Evaluate a batch of assignments through the physics.
 
         Parameters
@@ -377,14 +404,17 @@ class CircuitEngine:
         faults:
             Iterable of :class:`CellFault` (at most one per cell, any
             number of distinct cells); each faulted cell evaluates
-            through a :class:`~repro.core.faults.FaultySimulator`
-            sharing the engine's weight caches, so multi-fault studies
-            (e.g. a defect cluster along one carry chain) compose
-            naturally.
+            against its own fault-inclusive calibration, so multi-fault
+            studies (e.g. a defect cluster along one carry chain)
+            compose naturally.
         noise:
             Optional :class:`~repro.waveguide.NoiseModel` template; every
             (cell, group) evaluation draws an independent realisation
-            from a deterministically derived seed.
+            from a deterministically derived seed.  Placement noise
+            (``position_sigma > 0``) perturbs every cell's geometry, which
+            the compiled weights cannot represent: it raises
+            :class:`~repro.errors.NetlistError`; study it with
+            :meth:`run_scalar`.
         strict:
             When True, a dead decode (a fault silencing a phase-readout
             channel) raises; when False the affected entries are marked
@@ -395,55 +425,15 @@ class CircuitEngine:
             every (cell, group) generates detector traces and decodes
             them by lock-in over the settled window
             (:meth:`~repro.core.simulate.GateSimulator.run_batch`).
-        packed:
-            When True (default) the batch executes through the
-            compile-once packed artifact (:meth:`compiled`): one cross-op
-            GEMM per level in phasor mode, preallocated buffers, zero
-            per-run Python-list churn.  Configurations the packed path
-            cannot reproduce bit-identically (per-entry placement noise,
-            physics hooks replaced by subclassing/monkeypatching, a cell
-            that fails calibration) fall back to the per-op batched path
-            transparently; ``packed=False`` forces that per-op path.
 
-        Returns a :class:`CircuitRunResult`.  Decoded (possibly wrong)
-        bits always propagate to later levels -- regeneration restores
-        amplitude, not truth -- so fault and noise effects compound
-        through the DAG exactly as in hardware.
+        The batch executes through the compile-once packed artifact
+        (:meth:`compiled`): one cross-op GEMM per level in phasor mode,
+        preallocated buffers.  Returns a :class:`CircuitRunResult`.
+        Decoded (possibly wrong) bits always propagate to later levels
+        -- regeneration restores amplitude, not truth -- so fault and
+        noise effects compound through the DAG exactly as in hardware.
         """
-        if packed:
-            result = self._run_packed(
-                assignments_batch, faults, noise, strict, mode
-            )
-            if result is not None:
-                return result
-        return self._execute(
-            assignments_batch, faults, noise, strict, batched=True, mode=mode
-        )
-
-    def _run_packed(self, assignments_batch, faults, noise, strict, mode):
-        """Try the compiled packed path; None means "use the per-op path".
-
-        The packed artifact bakes nominal calibration and propagation
-        weights in at compile time, so it only serves configurations it
-        can reproduce bit-identically: shared geometry (no placement
-        noise) and pristine physics hooks.  Anything else falls back.
-        """
-        from repro.circuits import compiled as _compiled
-
-        if mode not in ("phasor", "trace"):
-            raise NetlistError(
-                f"unknown execution mode {mode!r}; "
-                "supported: 'phasor', 'trace'"
-            )
-        if noise is not None and noise.position_sigma > 0:
-            return None
-        if not _compiled.physics_pristine():
-            return None
-        self._refresh_schedule()
-        artifact = self.compiled()
-        if not artifact.packable:
-            return None
-        return artifact.run(
+        return self.compiled().run(
             assignments_batch, faults=faults, noise=noise, strict=strict,
             mode=mode,
         )
@@ -468,31 +458,31 @@ class CircuitEngine:
         :class:`~repro.core.cascade.GateCascade`-style loop generalised
         to DAGs.
 
-        Bit-identical semantics to :meth:`run` (same noise seeds, same
-        fault plumbing, same ``mode`` options); the batched paths are
-        pinned against this reference to <= 1e-12 in
+        Same semantics as :meth:`run` (same noise seeds, same fault
+        plumbing, same ``mode`` options); the packed path is pinned
+        against this reference to <= 1e-12 in
         ``tests/test_circuit_engine.py`` and
         ``tests/test_circuit_conformance.py``, and the throughput
-        benchmark uses it as the baseline.
+        benchmark uses it as the baseline.  Each simulator call builds
+        its sources afresh, so this is also the study path for placement
+        noise (``position_sigma > 0``), which :meth:`run` refuses.
         """
-        return self._execute(
-            assignments_batch, faults, noise, strict, batched=False, mode=mode
-        )
-
-    def _execute(self, assignments_batch, faults, noise, strict, batched,
-                 mode="phasor"):
-        if mode not in ("phasor", "trace"):
-            raise NetlistError(
-                f"unknown execution mode {mode!r}; "
-                "supported: 'phasor', 'trace'"
-            )
+        check_mode(mode)
         self._refresh_schedule()  # picks up netlist growth (revision key)
-        batch = self._normalise_batch(assignments_batch)
-        fault_map = self._normalise_faults(faults)
+        batch = list(assignments_batch)
+        fault_map = normalise_faults(self.netlist, faults)
+        block = input_block(self.netlist, batch)
         n_entries = len(batch)
         n_groups = -(-n_entries // self.n_bits)
         padded = n_groups * self.n_bits
-        values = self._input_values(batch, padded)
+        values = {}
+        for name, column in zip(sorted(self.netlist.inputs), block):
+            values[name] = np.zeros(padded, dtype=np.int64)
+            values[name][:n_entries] = column
+        for name in self.netlist.topological_order():
+            kind = self.netlist.node(name).kind
+            if kind in ("const0", "const1"):
+                values[name] = np.full(padded, int(kind == "const1"))
         failed = np.zeros(padded, dtype=bool)
         records = {}
         level_reports = []
@@ -517,44 +507,20 @@ class CircuitEngine:
             n_physical = sum(len(nodes) for nodes in physical.values())
             with obs.span(f"circuit/level/{mode}"):
                 for operation in sorted(physical):
-                    nominal = []
-                    faulted = []
-                    for node in physical[operation]:
-                        (faulted if node.name in fault_map
-                         else nominal).append(node)
-                    if nominal:
-                        self._evaluate_cells(
-                            self.simulator_for(operation),
-                            nominal,
-                            values,
-                            failed,
-                            records,
-                            level_margins,
-                            noise=noise,
-                            n_entries=n_entries,
-                            n_groups=n_groups,
-                            level=level,
-                            strict=strict,
-                            batched=batched,
-                            mode=mode,
+                    # Nominal cells before faulted ones (a stable sort):
+                    # the order strict mode reports dead decodes in.
+                    for node in sorted(
+                        physical[operation], key=lambda n: n.name in fault_map
+                    ):
+                        fault = fault_map.get(node.name)
+                        simulator = (
+                            self.simulator_for(operation) if fault is None
+                            else self._faulty_simulator(operation, fault)
                         )
-                    for node in faulted:
-                        self._evaluate_cells(
-                            self._faulty_simulator(
-                                operation, fault_map[node.name]
-                            ),
-                            [node],
-                            values,
-                            failed,
-                            records,
-                            level_margins,
-                            noise=noise,
-                            n_entries=n_entries,
-                            n_groups=n_groups,
-                            level=level,
-                            strict=strict,
-                            batched=batched,
-                            mode=mode,
+                        self._evaluate_cell(
+                            simulator, node, values, failed, records,
+                            level_margins, noise, n_entries, n_groups,
+                            level, strict, mode,
                         )
             level_reports.append(
                 LevelReport(
@@ -584,120 +550,52 @@ class CircuitEngine:
             mode=mode,
         )
 
-    def _evaluate_cells(
-        self,
-        simulator,
-        nodes,
-        values,
-        failed,
-        records,
-        level_margins,
-        noise,
-        n_entries,
-        n_groups,
-        level,
-        strict,
-        batched,
-        mode,
-    ):
-        """Evaluate ``nodes`` (one operation) for every word group."""
+    def _evaluate_cell(self, simulator, node, values, failed, records,
+                       level_margins, noise, n_entries, n_groups, level,
+                       strict, mode):
+        """Evaluate one cell for every word group, one simulator call each.
+
+        Each call runs under that group's derived noise model; a decode
+        failure (any :class:`~repro.errors.ReproError`) becomes a dead
+        group, raised under ``strict`` and marked ``failed`` otherwise.
+        """
         n_bits = self.n_bits
-        entries = []
-        meta = []
-        noises = [] if noise is not None else None
-        for node in nodes:
-            fanin_values = [values[driver] for driver in node.fanin]
-            values[node.name] = np.zeros(len(failed), dtype=np.int64)
-            if batched:
-                # Array-native word blocks: (n_groups, n_inputs, n_bits)
-                # slices feed the batched simulators directly -- no
-                # per-(cell, group) .tolist() round trip on the hot path.
-                block = np.stack(fanin_values)  # (n_inputs, padded)
-                entries.append(
-                    block.reshape(len(fanin_values), n_groups, n_bits)
-                    .transpose(1, 0, 2)
-                )
+        runner = getattr(simulator, "run" if mode == "trace" else "run_phasor")
+        fanin_values = [values[driver] for driver in node.fanin]
+        values[node.name] = np.zeros(len(failed), dtype=np.int64)
+        saved = simulator.noise
+        try:
             for group in range(n_groups):
-                if not batched:
-                    window = self._group_slice(group, n_bits)
-                    entries.append(
-                        [v[window].tolist() for v in fanin_values]
+                window = self._group_slice(group, n_bits)
+                n_valid = min(n_entries - group * n_bits, n_bits)
+                if noise is not None:
+                    simulator.noise = self._cell_noise(
+                        noise, node.name, group, n_groups
                     )
-                meta.append((node, group))
-                if noises is not None:
-                    noises.append(
-                        self._cell_noise(noise, node.name, group, n_groups)
+                try:
+                    run = runner([v[window].tolist() for v in fanin_values])
+                except ReproError:
+                    run = None
+                if run is None:
+                    if strict:
+                        raise SimulationError(
+                            f"cell {node.name!r} (level {level}) failed to "
+                            "decode: a channel produced no decodable carrier"
+                        )
+                    failed[group * n_bits : group * n_bits + n_valid] = True
+                    self._record_decode(
+                        records, node, level, group, n_valid,
+                        [None] * n_bits, [math.nan] * n_bits,
+                        [math.nan] * n_bits,
                     )
-        if batched:
-            entries = np.concatenate(entries, axis=0)
-
-        if mode == "trace":
-            if batched:
-                runs = simulator.run_batch(entries, noises=noises, strict=False)
-            else:
-                runs = self._scalar_trace_runs(simulator, entries, noises)
-        elif batched:
-            runs = simulator.run_phasor_batch(
-                entries, noises=noises, strict=False
-            )
-        else:
-            runs = self._scalar_runs(simulator, entries, noises)
-
-        for (node, group), run in zip(meta, runs):
-            window = self._group_slice(group, n_bits)
-            n_valid = min(n_entries - group * n_bits, n_bits)
-            if run is None:
-                if strict:
-                    raise SimulationError(
-                        f"cell {node.name!r} (level {level}) failed to "
-                        "decode: a channel produced no decodable carrier"
-                    )
-                failed[group * n_bits : group * n_bits + n_valid] = True
+                    continue
+                values[node.name][window] = run.decoded
+                margins = [d.margin for d in run.decodes]
+                amplitudes = [d.amplitude for d in run.decodes]
                 self._record_decode(
                     records, node, level, group, n_valid,
-                    [None] * n_bits, [math.nan] * n_bits, [math.nan] * n_bits,
+                    run.decoded, margins, amplitudes,
                 )
-                continue
-            values[node.name][window] = run.decoded
-            margins = [d.margin for d in run.decodes]
-            amplitudes = [d.amplitude for d in run.decodes]
-            self._record_decode(
-                records, node, level, group, n_valid,
-                run.decoded, margins, amplitudes,
-            )
-            level_margins.extend(margins[:n_valid])
-
-    @staticmethod
-    def _scalar_loop(simulator, entries, noises, method):
-        """One ``simulator.<method>(words)`` call per entry, under that
-        entry's derived noise model; decode failures become ``None`` --
-        the scalar protocol both batched paths are pinned against."""
-        runner = getattr(simulator, method)
-        if noises is None:
-            noises = [simulator.noise] * len(entries)
-        saved = simulator.noise
-        runs = []
-        try:
-            for words, entry_noise in zip(entries, noises):
-                simulator.noise = entry_noise
-                try:
-                    runs.append(runner(words))
-                except ReproError:
-                    runs.append(None)
+                level_margins.extend(margins[:n_valid])
         finally:
             simulator.noise = saved
-        return runs
-
-    @classmethod
-    def _scalar_runs(cls, simulator, entries, noises):
-        """Per-entry ``run_phasor`` loop mirroring ``run_phasor_batch``."""
-        return cls._scalar_loop(simulator, entries, noises, "run_phasor")
-
-    @classmethod
-    def _scalar_trace_runs(cls, simulator, entries, noises):
-        """Per-entry full ``run`` loop mirroring ``run_batch``.
-
-        The time-domain twin of :meth:`_scalar_runs`: one complete
-        waveform simulation and lock-in decode per (cell, group) entry.
-        """
-        return cls._scalar_loop(simulator, entries, noises, "run")

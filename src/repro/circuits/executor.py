@@ -1,4 +1,4 @@
-"""Coalescing circuit execution front end (PR 6).
+"""Coalescing circuit execution front end.
 
 A :class:`CircuitExecutor` serves *many* logical circuit-evaluation
 requests -- potentially over many distinct netlists -- from one shared
@@ -25,16 +25,15 @@ on an explicit :meth:`flush` or :meth:`sweep`, or when any ticket's
 :meth:`~ExecutionTicket.result` is forced.  The executor itself runs no
 threads -- a long-lived front end (``repro.serve``'s daemon) calls
 :meth:`sweep` from a background flush thread so ``max_latency`` bounds
-queue wait even without fresh traffic.  Submission, flushing and
-fallback execution are serialised by one internal lock, so many
-threads may submit concurrently; tickets resolve through a
-``threading.Event`` and can be awaited without forcing a flush
-(:meth:`ExecutionTicket.result` with ``timeout``).
-Configurations the packed path cannot reproduce (placement noise,
-replaced physics hooks, uncalibratable cells) fall back per request to
-a per-op :class:`~repro.circuits.engine.CircuitEngine` sharing the same
-bindings; the fallback engine map is LRU-bounded to ``cache_size``
-entries, like the compile cache.
+queue wait even without fresh traffic.  Submission and flushing are
+serialised by one internal lock, so many threads may submit
+concurrently; tickets resolve through a ``threading.Event`` and can be
+awaited without forcing a flush (:meth:`ExecutionTicket.result` with
+``timeout``).  Every request runs packed: placement noise is refused at
+:meth:`~CircuitExecutor.submit` (its study path is
+:meth:`~repro.circuits.engine.CircuitEngine.run_scalar`), and a block
+executed after a physics hook was replaced resolves its tickets with
+the artifact's :class:`~repro.errors.SimulationError`.
 
 >>> from repro.circuits.netlist import Netlist
 >>> netlist = Netlist("demo")
@@ -54,24 +53,16 @@ entries, like the compile cache.
 import threading
 import time
 import uuid
-from collections import OrderedDict
 from dataclasses import dataclass, field, fields
-
-import numpy as np
 
 from repro import obs as _obs
 from repro.circuits.compiled import (
     CompiledCircuitCache,
-    _normalise_faults,
     netlist_signature,
-    physics_pristine,
+    validate_request,
 )
-from repro.circuits.library import GateBindings, physical_arity
-from repro.errors import (
-    EncodingError,
-    NetlistError,
-    SimulationError,
-)
+from repro.circuits.library import GateBindings
+from repro.errors import NetlistError, SimulationError
 
 
 def mint_request_id():
@@ -96,15 +87,11 @@ class RequestTrace:
 
     ``block_id`` names the coalesced block the request executed in and
     ``coalesced_with`` lists the *other* request IDs that shared it: a
-    slow block is attributable to its tenants.  ``path`` is ``"packed"``
-    for block execution and ``"fallback"`` for configurations served by
-    the per-op engine (placement noise, replaced physics hooks,
-    uncalibratable cells).
+    slow block is attributable to its tenants.
     """
 
     request_id: str
     mode: str = "phasor"
-    path: str = "packed"
     n_entries: int = 0
     queue_wait_s: float = 0.0
     compile_s: float = 0.0
@@ -211,11 +198,11 @@ class ExecutionTicket:
 
 
 class _Request:
-    """One queued submission plus its pre-validated input columns."""
+    """One queued submission plus its pre-validated input block."""
 
     __slots__ = (
         "netlist", "batch", "faults", "fault_map", "noise", "strict",
-        "ticket", "n_entries", "n_groups", "input_columns", "signature",
+        "ticket", "n_entries", "n_groups", "inputs", "signature",
         "born", "trace",
     )
 
@@ -243,8 +230,7 @@ class CircuitExecutor:
         calls :meth:`sweep` periodically so the bound holds without
         fresh traffic).
     cache_size:
-        LRU capacity of the compile cache (distinct netlist signatures)
-        and of the fallback engine map.
+        LRU capacity of the compile cache (distinct netlist signatures).
     obs:
         Optional :class:`~repro.obs.MetricsRegistry` holding this
         executor's serving metrics (and, shared onward, its compile
@@ -266,14 +252,13 @@ class CircuitExecutor:
     """
 
     #: Counter names (under ``executor.``) surfaced by :attr:`stats`.
-    _STAT_KEYS = (
-        "requests", "words", "blocks", "coalesced_requests", "fallbacks",
-    )
+    _STAT_KEYS = ("requests", "words", "blocks", "coalesced_requests")
     #: Per-request failure classes counted under ``executor.errors.``:
     #: strict decode failures, netlists mutated between submit and
-    #: flush, block-level flush exceptions, engine-fallback errors and
-    #: any other per-request failure (e.g. result construction).
-    _ERROR_KEYS = ("decode", "mutated", "flush", "fallback", "request")
+    #: flush, block-level flush exceptions (a replaced physics hook
+    #: among them) and any other per-request failure (e.g. result
+    #: construction).
+    _ERROR_KEYS = ("decode", "mutated", "flush", "request")
 
     def __init__(self, n_bits=8, waveguide=None, transducer=None,
                  bindings=None, max_block=64, max_latency=None,
@@ -302,18 +287,14 @@ class CircuitExecutor:
         # block IDs let an access log's per-request traces be grouped
         # back into the packed blocks that actually executed them.
         self._block_seq = 0
-        # One lock serialises queue mutation, flushing and fallback
-        # execution: many threads may submit/flush concurrently (the
-        # serving daemon does), coalescing still sees a consistent
-        # queue.  RLock because a submit-triggered flush re-enters.
+        # One lock serialises queue mutation and flushing: many threads
+        # may submit/flush concurrently (the serving daemon does),
+        # coalescing still sees a consistent queue.  RLock because a
+        # submit-triggered flush re-enters.
         self._lock = threading.RLock()
         self._queues = {}       # key -> list of _Request
         self._queue_words = {}  # key -> pending word count
         self._queue_born = {}   # key -> monotonic time of oldest request
-        # signature -> fallback CircuitEngine, LRU-bounded to cache_size
-        # (a long-lived executor serving many distinct netlists through
-        # the fallback path must not accumulate engines forever).
-        self._engines = OrderedDict()
 
     @property
     def stats(self):
@@ -327,6 +308,9 @@ class CircuitExecutor:
             key: self.obs.counter(f"executor.{key}")
             for key in self._STAT_KEYS
         }
+        # Always 0 (every request runs packed); kept because the
+        # benchmark harness in perfbench/ asserts on it.
+        stats["fallbacks"] = 0
         stats["errors"] = {
             key: self.obs.counter(f"executor.errors.{key}")
             for key in self._ERROR_KEYS
@@ -348,48 +332,33 @@ class CircuitExecutor:
                strict=True, mode="phasor", request_id=None):
         """Queue one evaluation request; returns its ticket.
 
-        Validation that a standalone run performs up front (mode, empty
-        batch, fault plumbing, input presence and 0/1 values) raises
-        here, at the call site that caused it; physics-level failures
-        surface later through the ticket.
+        Validation that a standalone run performs up front (mode,
+        placement noise, empty batch, fault plumbing, input presence and
+        0/1 values) raises here, at the call site that caused it, and
+        queues nothing; physics-level failures surface later through
+        the ticket.
 
         ``request_id`` names the request in traces, events and block
         tenant lists (the serving daemon passes a client-supplied
         ``X-Request-Id`` through here); omitted, a fresh
         ``req-<hex>`` ID is minted.
         """
-        if mode not in ("phasor", "trace"):
-            raise NetlistError(
-                f"unknown execution mode {mode!r}; "
-                "supported: 'phasor', 'trace'"
-            )
         batch = list(assignments_batch)
-        if not batch:
-            raise NetlistError("no assignments supplied")
+        faults = list(faults)
+        inputs, fault_map = validate_request(
+            netlist, self.n_bits, batch, faults, noise, mode
+        )
         request = _Request()
         request.netlist = netlist
         request.batch = batch
-        request.faults = list(faults)
-        request.fault_map = _normalise_faults(netlist, request.faults)
-        for cell, fault in request.fault_map.items():
-            # Mirror FaultySimulator's range validation here so a bad
-            # fault raises at its own call site instead of surfacing
-            # mid-flush and failing the whole coalesced block.
-            if not 0 <= fault.channel < self.n_bits:
-                raise EncodingError(
-                    f"fault channel {fault.channel} out of range"
-                )
-            arity = physical_arity(netlist.node(cell).kind)
-            if not 0 <= fault.input_index < arity:
-                raise EncodingError(
-                    f"fault input index {fault.input_index} out of range"
-                )
+        request.faults = faults
+        request.fault_map = fault_map
         request.noise = noise
         request.strict = strict
         request.ticket = ExecutionTicket(self, request_id=request_id)
         request.n_entries = len(batch)
         request.n_groups = -(-request.n_entries // self.n_bits)
-        request.input_columns = self._input_columns(netlist, batch)
+        request.inputs = inputs
         request.signature = netlist_signature(netlist)
         request.born = time.monotonic()
         if self.trace_requests:
@@ -402,14 +371,6 @@ class CircuitExecutor:
             request.trace = None
         self.obs.inc("executor.requests")
         self.obs.inc("executor.words", request.n_entries)
-
-        if (noise is not None and noise.position_sigma > 0) or (
-            not physics_pristine()
-        ):
-            # Packed execution cannot reproduce this configuration;
-            # serve it immediately through the per-op engine path.
-            self._run_fallback(request, mode)
-            return request.ticket
 
         # Backend identity is part of the coalescing signature: requests
         # may only share a packed block when their artifacts were
@@ -438,30 +399,6 @@ class CircuitExecutor:
             netlist, assignments_batch, faults=faults, noise=noise,
             strict=strict, mode=mode, request_id=request_id,
         ).result()
-
-    def _input_columns(self, netlist, batch):
-        """Pre-validated {input name: (n_entries,) int64 column}.
-
-        Mirrors the engine's ``_input_values`` semantics (including its
-        integer truncation of float values) so submit-time validation
-        matches what a standalone run would have raised.
-        """
-        columns = {}
-        n_entries = len(batch)
-        for name in netlist.inputs:
-            try:
-                column = [a[name] for a in batch]
-            except KeyError:
-                raise NetlistError(
-                    f"no value supplied for input {name!r}"
-                ) from None
-            array = np.asarray(column, dtype=np.int64)
-            if array.shape != (n_entries,) or not np.isin(
-                array, (0, 1)
-            ).all():
-                raise NetlistError("logic values must all be 0 or 1")
-            columns[name] = array
-        return columns
 
     # ------------------------------------------------------------------
     # Execution
@@ -564,10 +501,6 @@ class CircuitExecutor:
                         "miss" if self.cache.misses > misses_before
                         else "hit"
                     )
-                if not artifact.packable:
-                    for request in requests:
-                        self._run_fallback(request, mode)
-                    return
                 n_bits = self.n_bits
                 total_groups = sum(r.n_groups for r in requests)
                 padded = total_groups * n_bits
@@ -578,12 +511,10 @@ class CircuitExecutor:
                 spans = []
                 group_cursor = 0
                 for request in requests:
-                    start = group_cursor * n_bits
-                    end = (group_cursor + request.n_groups) * n_bits
-                    for name, column in request.input_columns.items():
-                        row = buf[artifact._slots[name]]
-                        row[start + request.n_entries : end] = 0
-                        row[start : start + request.n_entries] = column
+                    artifact._write_inputs(
+                        buf, request.inputs, group_cursor,
+                        group_cursor + request.n_groups,
+                    )
                     for group in range(request.n_groups):
                         contexts.append(
                             (request.noise, request.n_groups, group)
@@ -606,10 +537,11 @@ class CircuitExecutor:
                 if tracing:
                     execute_s = time.perf_counter() - execute_started
         except Exception as exc:
-            # Should be unreachable after submit-time validation, but
-            # any block-level failure -- a compile error, physics
-            # ReproError or an unexpected bug -- must still resolve
-            # every ticket rather than strand them pending.
+            # Block-level failures resolve every ticket here rather
+            # than strand them pending.  Two of them are expected: a
+            # nominal calibration failure raised by get_or_compile and
+            # a replaced physics hook (_execute_padded refuses to run);
+            # an unexpected bug takes the same route.
             for request in requests:
                 if not request.ticket.done:
                     self.obs.inc("executor.errors.flush")
@@ -685,54 +617,6 @@ class CircuitExecutor:
                     result.trace = trace
                 request.ticket._resolve(result=result, trace=trace)
 
-    def _run_fallback(self, request, mode):
-        """Serve one request through the per-op engine path."""
-        from repro.circuits.engine import CircuitEngine
-
-        self.obs.inc("executor.fallbacks")
-        trace = request.trace
-        if trace is not None:
-            trace.path = "fallback"
-        signature = netlist_signature(request.netlist)
-        with self._lock:
-            engine = self._engines.get(signature)
-            if engine is None:
-                engine = CircuitEngine(
-                    request.netlist, bindings=self.bindings
-                )
-                self._engines[signature] = engine
-                while len(self._engines) > self.cache.max_entries:
-                    self._engines.popitem(last=False)
-                    self.obs.inc("executor.engine_evictions")
-            else:
-                self._engines.move_to_end(signature)
-            if trace is not None:
-                execute_started = time.perf_counter()
-            try:
-                result = engine.run(
-                    request.batch,
-                    faults=request.faults,
-                    noise=request.noise,
-                    strict=request.strict,
-                    mode=mode,
-                    packed=False,
-                )
-            except Exception as exc:
-                # Mirror _flush_requests: *any* failure -- a physics
-                # ReproError or e.g. a TypeError out of a replaced hook
-                # -- must resolve the ticket and land in the error
-                # counters, or submit() leaks the exception with the
-                # request already counted as served.
-                self.obs.inc("executor.errors.fallback")
-                if trace is not None:
-                    trace.execute_s = time.perf_counter() - execute_started
-                request.ticket._resolve(error=exc, trace=trace)
-            else:
-                if trace is not None:
-                    trace.execute_s = time.perf_counter() - execute_started
-                    result.trace = trace
-                request.ticket._resolve(result=result, trace=trace)
-
     # ------------------------------------------------------------------
     # Warm start
     # ------------------------------------------------------------------
@@ -757,7 +641,6 @@ class CircuitExecutor:
             f"{stats['requests']} requests ({stats['words']} words) in "
             f"{stats['blocks']} packed blocks; "
             f"{stats['coalesced_requests']} coalesced, "
-            f"{stats['fallbacks']} fallbacks, "
             f"{errors} errors ({rate} error rate); compile cache "
             f"{self.cache.hits} hits / {self.cache.misses} misses"
         )

@@ -62,12 +62,16 @@ class PhaseEncoding:
 
 
 def validate_bit(bit):
-    """Return ``bit`` as int 0/1; raise EncodingError otherwise."""
-    if isinstance(bit, bool):
+    """Return ``bit`` as int 0/1; raise EncodingError otherwise.
+
+    NumPy bool, integer and floating scalars are accepted like their
+    Python counterparts.
+    """
+    if isinstance(bit, (bool, np.bool_)):
         return int(bit)
-    if isinstance(bit, (int,)) and bit in (0, 1):
+    if isinstance(bit, (int, np.integer)) and bit in (0, 1):
         return int(bit)
-    if isinstance(bit, float) and bit in (0.0, 1.0):
+    if isinstance(bit, (float, np.floating)) and bit in (0.0, 1.0):
         return int(bit)
     raise EncodingError(f"logic value must be 0 or 1, got {bit!r}")
 

@@ -99,7 +99,6 @@ def render_interval(prev, cur):
     blocks = _counter_delta(prev, cur, "executor.blocks")
     coalesced = _counter_delta(prev, cur, "executor.coalesced_requests")
     submitted = _counter_delta(prev, cur, "executor.requests")
-    fallbacks = _counter_delta(prev, cur, "executor.fallbacks")
     hits = _counter_delta(prev, cur, "compile_cache.hits")
     misses = _counter_delta(prev, cur, "compile_cache.misses")
     lookups = hits + misses
@@ -126,8 +125,7 @@ def render_interval(prev, cur):
         + (
             f"{hits / lookups:7.1%} cache hit rate ({lookups} lookups)"
             if lookups else "(no lookups this interval)"
-        )
-        + (f"   {fallbacks} fallbacks" if fallbacks else ""),
+        ),
         f"  errors     "
         + (
             f"{errors / requests:7.1%} of requests ({errors} errors)"

@@ -70,7 +70,6 @@ class TestSaveLoadRoundTrip:
         loaded = CompiledCircuit.load(path, bindings)
         assert loaded.signature == original.signature
         assert loaded.n_bits == original.n_bits
-        assert loaded.packable == original.packable
         assert_results_pinned(loaded.run(BATCH), original.run(BATCH))
 
     def test_round_trip_preserves_trace_mode(self, tmp_path):
@@ -192,6 +191,34 @@ class TestWarmStart:
         assert result.correct
         assert executor.cache.misses == 0
         assert executor.cache.hits == 1
+
+    def test_warm_artifact_serves_reordered_inputs(self, tmp_path):
+        """An artifact saved from one netlist serves an equal-signature
+        netlist whose inputs were declared in another order."""
+        bindings = GateBindings(n_bits=N_BITS)
+        source = ripple_carry_adder(2)
+        path = compile_circuit(source, bindings).save(tmp_path / "rca.ccz")
+        reordered = Netlist("rca-reordered")
+        for name in reversed(source.inputs):
+            reordered.add_input(name)
+        for name in source.topological_order():
+            node = source.node(name)
+            if node.kind == "const0":
+                reordered.add_const(name, 0)
+            elif node.kind != "input":
+                reordered.add_cell(name, node.kind, node.fanin)
+        for name in source.outputs:
+            reordered.mark_output(name)
+        executor = CircuitExecutor(bindings=GateBindings(n_bits=N_BITS))
+        executor.warm([path])
+        batch = [
+            {"a0": 1, "a1": 0, "b0": 1, "b1": 0},
+            {"a0": 0, "a1": 0, "b0": 1, "b1": 1},
+        ]
+        result = executor.run(reordered, batch)
+        assert executor.cache.misses == 0
+        assert result.outputs == reordered.evaluate_batch(batch)
+        assert result.correct
 
     def test_warm_respects_lru_capacity(self, tmp_path):
         bindings = GateBindings(n_bits=N_BITS)

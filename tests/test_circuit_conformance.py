@@ -1,21 +1,25 @@
 """Cross-backend conformance harness for circuit execution.
 
-The engine exposes four execution semantics of one netlist; this module
-pins them against each other on seeded randomized MAJ/XOR/INV/BUF DAGs
-(:func:`repro.circuits.synth.random_netlist` -- fanout, constants and
-virtual cells all occur) across nominal, noisy, faulty and
-placement-noise configurations:
+Every circuit runs through one batched path per mode (the compiled
+packed artifact, standalone or coalesced by the executor) and one
+scalar reference; this module pins them against each other on seeded
+randomized MAJ/XOR/INV/BUF DAGs (:func:`repro.circuits.synth.random_netlist`
+-- fanout, constants and virtual cells all occur) across nominal,
+noisy, single-fault and multi-fault configurations:
 
 * **Boolean** -- :meth:`Netlist.evaluate_batch`, the exact logic
   reference (physics must match it bit-for-bit in nominal runs);
 * **scalar cascade** -- :meth:`CircuitEngine.run_scalar`, one
   ``run_phasor`` / ``run`` call per (cell, word group), the pinned
-  ground truth of both batched paths;
-* **batched phasor** -- :meth:`CircuitEngine.run`, the steady-state
+  ground truth of the batched path and the only path serving placement
+  noise;
+* **packed phasor** -- :meth:`CircuitEngine.run`, the steady-state
   GEMM path (pinned to scalar at <= 1e-12);
-* **batched trace** -- ``run(mode="trace")``, full time-domain waveform
+* **packed trace** -- ``run(mode="trace")``, full time-domain waveform
   generation with lock-in decode (pinned to its scalar loop at
-  <= 1e-12, and decode-agreeing with the phasor path).
+  <= 1e-12, and decode-agreeing with the phasor path);
+* **coalesced** -- :class:`CircuitExecutor` blocks mixing requests of
+  every configuration, each pinned to its standalone scalar run.
 
 The fast lane exercises a handful of seeds; the full randomized sweep
 (>= 20 seeds x {nominal, noisy, faulty}) is marked ``slow``.
@@ -82,6 +86,27 @@ def seeded_fault(engine, seed, kind="stuck-phase-1"):
     )
 
 
+def two_faults(engine):
+    """Faults on the first two physical cells (a multi-fault config)."""
+    physical = [
+        node
+        for cells in engine.schedule
+        for node in cells
+        if node.kind in PHYSICAL_BINDINGS
+    ]
+    assert len(physical) >= 2
+    return [
+        CellFault(
+            physical[0].name,
+            TransducerFault("stuck-phase-1", channel=0, input_index=0),
+        ),
+        CellFault(
+            physical[1].name,
+            TransducerFault("dead-source", channel=1, input_index=0),
+        ),
+    ]
+
+
 def assert_pinned(result, reference):
     """A batched CircuitRunResult equals its scalar reference <= 1e-12."""
     assert result.outputs == reference.outputs
@@ -110,7 +135,7 @@ def assert_decode_agreement(trace, phasor):
 
 
 def cross_check(engine, batch, faults=(), noise=None):
-    """All four backends on one configuration; returns (phasor, trace)."""
+    """Packed and scalar paths in both modes; returns (phasor, trace)."""
     phasor = engine.run(batch, faults=faults, noise=noise, strict=False)
     phasor_ref = engine.run_scalar(
         batch, faults=faults, noise=noise, strict=False
@@ -163,22 +188,38 @@ class TestConformanceFast:
         assert fault is not None
         cross_check(engine, random_batch(netlist, seed), faults=[fault])
 
-    def test_placement_noise_fallback(self):
-        """Per-entry placement noise exercises the per-source trace path.
+    def test_placement_noise_served_by_run_scalar(self):
+        """Placement noise: ``run`` refuses it, ``run_scalar`` serves it.
 
-        Position jitter breaks shared geometry, so the batched trace
-        falls back from the carrier-basis GEMM to the general per-source
-        loop -- and must still pin to the scalar reference.
+        Position jitter breaks the shared geometry the packed weights
+        bake in, so ``run`` raises a NetlistError naming the study path
+        in both modes.  The scalar reference takes the general
+        per-source path instead, decodes both modes alike, and never
+        memoises the jittered geometries.
         """
         seed = FAST_SEEDS[1]
         netlist = random_netlist(seed)
         engine = CircuitEngine(netlist, n_bits=N_BITS)
         noise = NoiseModel(position_sigma=1e-9, seed=60 + seed)
         batch = random_batch(netlist, seed, n_entries=4)
-        engine.run(batch, mode="trace")  # nominal: populates the basis cache
+        nominal = engine.run(batch, mode="trace")  # populates basis cache
         cached = len(engine.model()._basis_cache)
         assert cached > 0
-        cross_check(engine, batch, noise=noise)
+        for mode in ("phasor", "trace"):
+            with pytest.raises(NetlistError, match="run_scalar"):
+                engine.run(batch, noise=noise, strict=False, mode=mode)
+        phasor = engine.run_scalar(batch, noise=noise, strict=False)
+        trace = engine.run_scalar(
+            batch, noise=noise, strict=False, mode="trace"
+        )
+        assert (phasor.mode, trace.mode) == ("phasor", "trace")
+        assert_decode_agreement(trace, phasor)
+        # The jitter reached the physics: some margin moved.
+        assert any(
+            record.margins is not None
+            and not np.allclose(record.margins, nominal.cells[name].margins)
+            for name, record in trace.cells.items()
+        )
         # Jittered geometries never repeat and must not be memoised.
         assert len(engine.model()._basis_cache) == cached
 
@@ -187,36 +228,21 @@ class TestConformanceFast:
         seed = FAST_SEEDS[2]
         netlist = random_netlist(seed)
         engine = CircuitEngine(netlist, n_bits=N_BITS)
-        physical = [
-            node
-            for cells in engine.schedule
-            for node in cells
-            if node.kind in PHYSICAL_BINDINGS
-        ]
-        assert len(physical) >= 2
-        faults = [
-            CellFault(
-                physical[0].name,
-                TransducerFault("stuck-phase-1", channel=0, input_index=0),
-            ),
-            CellFault(
-                physical[1].name,
-                TransducerFault("dead-source", channel=1, input_index=0),
-            ),
-        ]
-        cross_check(engine, random_batch(netlist, seed), faults=faults)
+        cross_check(
+            engine, random_batch(netlist, seed), faults=two_faults(engine)
+        )
 
 
 # ----------------------------------------------------------------------
 # Coalesced serving: many requests in one packed block pin to standalone
 # ----------------------------------------------------------------------
 class TestCoalescedConformance:
-    """Coalesced executor blocks reproduce uncoalesced runs <= 1e-12.
+    """Coalesced executor blocks reproduce scalar runs <= 1e-12.
 
-    Three requests -- nominal, noisy and faulty -- are queued against
-    structurally equal netlists (distinct objects, same content hash)
-    and executed as ONE packed block; every ticket must pin to the
-    per-op, uncoalesced ``CircuitEngine.run(packed=False)`` reference.
+    Four requests -- nominal, noisy, single-fault and multi-fault -- are
+    queued against structurally equal netlists (distinct objects, same
+    content hash) and executed as ONE packed block; every ticket must
+    pin to the uncoalesced ``CircuitEngine.run_scalar`` reference.
     """
 
     @pytest.mark.parametrize("mode", ["phasor", "trace"])
@@ -235,6 +261,8 @@ class TestCoalescedConformance:
             (random_batch(netlist, seed), (), None),
             (random_batch(netlist, seed + 1), (), noise),
             (random_batch(netlist, seed + 2), (fault,), None),
+            (random_batch(netlist, seed + 3), tuple(two_faults(engine)),
+             None),
         ]
         tickets = [
             executor.submit(
@@ -256,13 +284,12 @@ class TestCoalescedConformance:
         assert executor.stats["fallbacks"] == 0
         for ticket, (batch, faults, noise_model) in zip(tickets, configs):
             assert ticket.done
-            reference = engine.run(
+            reference = engine.run_scalar(
                 batch,
                 faults=faults,
                 noise=noise_model,
                 strict=False,
                 mode=mode,
-                packed=False,
             )
             assert_pinned(ticket.result(), reference)
 
@@ -279,8 +306,8 @@ class TestCoalescedConformance:
         assert executor.pending_words == 0
         assert executor.stats["blocks"] == 1
         assert_pinned(
-            second.result(), CircuitEngine(netlist, n_bits=N_BITS).run(
-                batch, strict=False, packed=False
+            second.result(), CircuitEngine(netlist, n_bits=N_BITS).run_scalar(
+                batch, strict=False
             )
         )
 
@@ -319,9 +346,7 @@ class TestCoalescedConformance:
         assert executor.stats["blocks"] == 1
         engine = CircuitEngine(netlist, n_bits=N_BITS)
         for ticket, batch in zip(tickets, batches):
-            reference = engine.run(
-                batch, noise=noise, strict=False, packed=False
-            )
+            reference = engine.run_scalar(batch, noise=noise, strict=False)
             assert_pinned(ticket.result(), reference)
 
     def test_block_failure_resolves_every_ticket(self, monkeypatch):
@@ -370,26 +395,27 @@ class TestCoalescedConformance:
         assert doomed.done
         with pytest.raises(NetlistError, match="mutated"):
             doomed.result()
-        reference = CircuitEngine(twin, n_bits=N_BITS).run(
-            batch, strict=False, packed=False
+        reference = CircuitEngine(twin, n_bits=N_BITS).run_scalar(
+            batch, strict=False
         )
         assert_pinned(healthy.result(), reference)
 
-    def test_position_noise_falls_back_per_request(self):
+    def test_position_noise_rejected_at_submit(self):
+        """Placement jitter cannot ride a packed block: submit raises a
+        NetlistError naming the study path and queues nothing."""
         seed = FAST_SEEDS[2]
         netlist = random_netlist(seed)
         batch = random_batch(netlist, seed, n_entries=4)
         executor = CircuitExecutor(n_bits=N_BITS, max_block=1024)
         noise = NoiseModel(position_sigma=1e-9, seed=90 + seed)
-        ticket = executor.submit(netlist, batch, noise=noise, strict=False)
-        # Placement jitter cannot ride the packed block: served eagerly.
-        assert ticket.done
-        assert executor.stats["fallbacks"] == 1
-        assert executor.stats["blocks"] == 0
-        reference = CircuitEngine(netlist, n_bits=N_BITS).run(
-            batch, noise=noise, strict=False, packed=False
-        )
-        assert_pinned(ticket.result(), reference)
+        for mode in ("phasor", "trace"):
+            with pytest.raises(NetlistError, match="run_scalar"):
+                executor.submit(
+                    netlist, batch, noise=noise, strict=False, mode=mode
+                )
+        assert executor.pending_words == 0
+        assert executor.stats["requests"] == 0
+        assert executor.stats["fallbacks"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -249,15 +249,17 @@ class TestScalarEquivalence:
         scalar = engine.run_scalar(batch, noise=noise, strict=False)
         assert_margins_equal(batched, scalar)
 
-    def test_with_placement_noise_falls_back(self):
-        """Position noise breaks shared geometry; results still pin."""
+    def test_placement_noise_rejected_by_run(self):
+        """Position noise breaks the baked geometry: ``run`` refuses it
+        and names ``run_scalar``, which serves it."""
         netlist, _, _ = full_adder()
         engine = CircuitEngine(netlist, n_bits=2)
         batch = exhaustive_batch(netlist)[:4]
         noise = NoiseModel(position_sigma=1e-9, seed=3)
-        batched = engine.run(batch, noise=noise, strict=False)
+        with pytest.raises(NetlistError, match="run_scalar"):
+            engine.run(batch, noise=noise, strict=False)
         scalar = engine.run_scalar(batch, noise=noise, strict=False)
-        assert_margins_equal(batched, scalar)
+        assert scalar.n_entries == len(batch)
 
     @pytest.mark.parametrize(
         "kind", ["dead-source", "stuck-phase-0", "stuck-phase-1", "weak-source"]
@@ -316,17 +318,19 @@ class TestTraceMode:
         )
         assert_margins_equal(batched, scalar)
 
-    def test_trace_placement_noise_falls_back_and_pins(self):
-        """Per-entry position jitter takes the per-source trace path."""
+    def test_trace_placement_noise_rejected_by_run(self):
+        """Trace mode refuses position jitter too; ``run_scalar`` serves
+        it through the per-source trace path."""
         netlist, _, _ = full_adder()
         engine = CircuitEngine(netlist, n_bits=2)
         batch = exhaustive_batch(netlist)[:4]
         noise = NoiseModel(position_sigma=1e-9, seed=3)
-        batched = engine.run_trace_batch(batch, noise=noise, strict=False)
+        with pytest.raises(NetlistError, match="run_scalar"):
+            engine.run_trace_batch(batch, noise=noise, strict=False)
         scalar = engine.run_scalar(
             batch, noise=noise, strict=False, mode="trace"
         )
-        assert_margins_equal(batched, scalar)
+        assert scalar.mode == "trace"
 
     def test_trace_fault_pinned_to_scalar(self):
         netlist, _, _ = full_adder()
@@ -521,28 +525,43 @@ class TestFaultInjection:
         with pytest.raises(NetlistError, match="more than one"):
             engine.run([{"a": 0, "b": 0, "cin": 0}], faults=faults)
 
-    def test_dead_decode_strict_vs_lenient(self, monkeypatch):
-        """A decode failure raises under strict and marks entries else."""
+    def test_dead_decode_strict_vs_lenient(self):
+        """A decode failure raises under strict and marks entries else.
+
+        A dead-source fault silences one of ``fa_carry``'s three channel-0
+        sources; the seeded, heavily clipped amplitude noise zeroes the
+        other two, so that MAJ3 phase readout sees an exactly-zero
+        carrier.  The same noise without the fault still decodes, so
+        the fault is what kills the row -- on the packed path exactly as
+        on the scalar reference.
+        """
         netlist, _, _ = full_adder()
         engine = CircuitEngine(netlist, n_bits=2)
         batch = exhaustive_batch(netlist)[:2]
-
-        original = GateSimulator.run_phasor_batch
-
-        def dying(self, words_batch, noises=None, strict=True):
-            runs = original(self, words_batch, noises=noises, strict=strict)
-            if self.gate.kind.uses_amplitude_readout:
-                return [None] * len(runs)  # kill every XOR decode
-            return runs
-
-        monkeypatch.setattr(GateSimulator, "run_phasor_batch", dying)
-        with pytest.raises(SimulationError, match="failed to decode"):
-            engine.run(batch)
-        result = engine.run(batch, strict=False)
+        fault = CellFault(
+            "fa_carry",
+            TransducerFault("dead-source", channel=0, input_index=0),
+        )
+        noise = NoiseModel(amplitude_sigma=5.0, seed=0)
+        assert engine.run(batch, noise=noise).failed == [False, False]
+        with pytest.raises(
+            SimulationError, match="'fa_carry' .*failed to decode"
+        ) as packed:
+            engine.run(batch, faults=[fault], noise=noise)
+        with pytest.raises(SimulationError) as scalar:
+            engine.run_scalar(batch, faults=[fault], noise=noise)
+        assert str(packed.value) == str(scalar.value)
+        result = engine.run(batch, faults=[fault], noise=noise, strict=False)
         assert result.failed == [True, True]
         assert result.word_errors == 2
         assert all(v is None for v in result.outputs["fa_sum"])
         assert not result.correct
+        assert_margins_equal(
+            result,
+            engine.run_scalar(
+                batch, faults=[fault], noise=noise, strict=False
+            ),
+        )
 
     def test_noise_errors_counted(self):
         netlist = ripple_carry_adder(2)

@@ -7,6 +7,7 @@ LRU hit/miss/invalidate behaviour of the compile cache, recompilation
 when a netlist grows, and the executor's validation and bookkeeping.
 """
 
+import numpy as np
 import pytest
 
 from repro.circuits import (
@@ -21,7 +22,7 @@ from repro.circuits import (
 )
 from repro.circuits.netlist import Netlist
 from repro.core.faults import TransducerFault
-from repro.errors import EncodingError, NetlistError
+from repro.errors import EncodingError, NetlistError, SimulationError
 
 N_BITS = 2
 
@@ -140,10 +141,27 @@ class TestCompileCache:
         netlist = xor_pair("direct")
         bindings = GateBindings(n_bits=N_BITS)
         artifact = compile_circuit(netlist, bindings)
-        assert artifact.packable
         assert artifact.n_physical_cells == 2
         result = artifact.run(BATCH)
         assert result.outputs == netlist.evaluate_batch(BATCH)
+
+    def test_calibration_failure_raises_at_compile(self):
+        """A nominal calibration that cannot decode fails the compile;
+        the scalar reference still marks every entry dead."""
+        from repro.core.simulate import GateSimulator
+
+        bindings = GateBindings(n_bits=N_BITS)
+        bindings._simulators["XOR2"] = GateSimulator(
+            bindings.gate("XOR2"), amplitudes=np.zeros((N_BITS, 2)),
+            model=bindings.model(),
+        )
+        netlist = xor_pair("silent")
+        with pytest.raises(SimulationError, match="zero amplitude"):
+            compile_circuit(netlist, bindings)
+        engine = CircuitEngine(netlist, bindings=bindings)
+        with pytest.raises(SimulationError, match="zero amplitude"):
+            engine.run(BATCH)
+        assert all(engine.run_scalar(BATCH, strict=False).failed)
 
 
 class TestExecutorValidation:
@@ -172,6 +190,32 @@ class TestExecutorValidation:
             executor.submit(xor_pair("f"), BATCH, faults=[fault])
         assert executor.pending_words == 0
 
+    @pytest.mark.parametrize("bad", [0.7, "1", None])
+    def test_non_bit_value_rejected_at_submit(self, bad):
+        """Fractional, string and None values raise at submit -- before
+        any int64 cast could truncate them -- and nothing is queued or
+        counted."""
+        executor = CircuitExecutor(n_bits=N_BITS, max_block=1024)
+        with pytest.raises(NetlistError, match="0 or 1"):
+            executor.submit(xor_pair("v"), [{"a": bad, "b": 0, "c": 1}])
+        assert executor.pending_words == 0
+        assert executor.stats["requests"] == 0
+
+    @pytest.mark.parametrize("bad", [0.7, "1", None])
+    def test_engine_paths_share_the_validator(self, bad):
+        """``run``, ``run_scalar`` and the artifact reject alike."""
+        engine = CircuitEngine(xor_pair("w"), n_bits=N_BITS)
+        batch = [{"a": bad, "b": 0, "c": 1}]
+        for run in (engine.run, engine.run_scalar, engine.compiled().run):
+            with pytest.raises(NetlistError, match="0 or 1"):
+                run(batch)
+
+    def test_bool_and_integral_float_bits_accepted(self):
+        netlist = xor_pair("ok")
+        batch = [{"a": True, "b": 1.0, "c": np.int64(0)}]
+        result = CircuitExecutor(n_bits=N_BITS).run(netlist, batch)
+        assert result.outputs == {"y": [0]}
+
     def test_max_block_validated(self):
         with pytest.raises(NetlistError, match="max_block"):
             CircuitExecutor(n_bits=N_BITS, max_block=0)
@@ -196,6 +240,43 @@ class TestExecutorServing:
         assert executor.cache.misses == 1
         assert executor.stats["blocks"] == 1
         assert executor.stats["coalesced_requests"] == 2
+
+    def test_input_insertion_order_does_not_swap_inputs(self):
+        """Equal-signature netlists whose inputs were added in different
+        orders share one artifact and one block; each request's bits
+        must still land on its own named inputs."""
+
+        def maj_not_a(title, input_order):
+            netlist = Netlist(title)
+            for name in input_order:
+                netlist.add_input(name)
+            netlist.add_cell("n", "INV", ("a",))
+            netlist.add_cell("y", "MAJ3", ("n", "b", "c"))
+            netlist.mark_output("y")
+            return netlist
+
+        forward = maj_not_a("fwd", ("a", "b", "c"))
+        backward = maj_not_a("bwd", ("c", "b", "a"))
+        assert netlist_signature(forward) == netlist_signature(backward)
+        batch = [
+            {"a": 1, "b": 0, "c": 0},
+            {"a": 0, "b": 0, "c": 1},
+            {"a": 1, "b": 1, "c": 0},
+        ]
+        executor = CircuitExecutor(n_bits=N_BITS, max_block=1024)
+        tickets = [
+            executor.submit(netlist, batch) for netlist in (forward, backward)
+        ]
+        executor.flush()
+        assert executor.cache.misses == 1
+        assert executor.stats["blocks"] == 1
+        assert executor.stats["coalesced_requests"] == 2
+        for netlist, ticket in zip((forward, backward), tickets):
+            result = ticket.result()
+            reference = CircuitEngine(netlist, n_bits=N_BITS).run_scalar(batch)
+            assert result.outputs == reference.outputs
+            assert result.outputs == netlist.evaluate_batch(batch)
+            assert result.correct
 
     def test_strict_failure_is_per_ticket(self):
         """A strict error resolves through its own ticket only."""
@@ -286,7 +367,6 @@ class TestExecutorFailureBookkeeping:
     def test_strict_decode_error_counted(self, monkeypatch):
         """A dead strict decode lands in errors.decode, per ticket."""
         from repro.circuits import compiled as compiled_mod
-        from repro.errors import SimulationError
 
         executor = CircuitExecutor(n_bits=N_BITS, max_block=1024)
         netlist = xor_pair("dead")
@@ -364,107 +444,46 @@ class TestExecutorFailureBookkeeping:
         assert "1 errors" in text
 
 
-def inv_chain(length):
-    """Netlists of distinct lengths have distinct content hashes."""
-    netlist = Netlist(f"chain{length}")
-    netlist.add_input("a")
-    previous = "a"
-    for index in range(length):
-        name = f"n{index}"
-        netlist.add_cell(name, "INV", (previous,))
-        previous = name
-    netlist.mark_output(previous)
-    return netlist
+class TestReplacedPhysicsHooks:
+    """A replaced simulator hook makes packed execution refuse to run.
 
-
-class TestFallbackEngineLifecycle:
-    """The per-op fallback path's engine map and error handling.
-
-    Regression class for two leaks: the engine map grew without bound
-    (one entry per distinct netlist a long-lived executor ever served
-    through the fallback path), and a non-``ReproError`` out of the
-    engine escaped :meth:`_run_fallback` with the ticket stranded
-    unresolved and the request already counted as served.
+    The compiled artifact bakes the import-time physics in and cannot
+    honour an override, so it raises instead of running stale physics;
+    coalesced tickets resolve with that error rather than stranding.
     """
 
-    #: Placement noise forces the fallback path (packed execution
-    #: cannot reproduce per-cell geometry perturbation).
-    @staticmethod
-    def _noise():
-        from repro.waveguide.noise import NoiseModel
+    @pytest.fixture
+    def replaced_hook(self, monkeypatch):
+        from repro.core.simulate import GateSimulator
 
-        return NoiseModel(position_sigma=5e-9, seed=7)
+        original = GateSimulator.run_phasor_batch
 
-    def test_fallback_engine_map_is_lru_bounded(self):
-        executor = CircuitExecutor(n_bits=N_BITS, cache_size=2)
-        noise = self._noise()
-        for length in (1, 2, 3, 4):
-            ticket = executor.submit(
-                inv_chain(length), [{"a": 1}], noise=noise
-            )
-            assert ticket.done  # fallback serves immediately
-            assert ticket.result().correct
-        assert executor.stats["fallbacks"] == 4
-        assert len(executor._engines) == 2
-        assert executor.obs.counter("executor.engine_evictions") == 2
+        def wrapped(self, *args, **kwargs):
+            return original(self, *args, **kwargs)
 
-    def test_fallback_engine_reuse_refreshes_lru_order(self):
-        executor = CircuitExecutor(n_bits=N_BITS, cache_size=2)
-        noise = self._noise()
-        executor.submit(inv_chain(1), [{"a": 1}], noise=noise)
-        executor.submit(inv_chain(2), [{"a": 1}], noise=noise)
-        engines = dict(executor._engines)
-        # Touch chain1 again: it becomes most-recent, so chain3's
-        # arrival must evict chain2, not chain1.
-        executor.submit(inv_chain(1), [{"a": 0}], noise=noise)
-        assert dict(executor._engines) == engines  # reused, not rebuilt
-        executor.submit(inv_chain(3), [{"a": 1}], noise=noise)
-        kept = set(executor._engines)
-        assert netlist_signature(inv_chain(1)) in kept
-        assert netlist_signature(inv_chain(2)) not in kept
+        monkeypatch.setattr(GateSimulator, "run_phasor_batch", wrapped)
 
-    def test_fallback_resolves_ticket_on_non_repro_error(
-        self, monkeypatch
-    ):
-        """A ``TypeError`` out of the engine (e.g. a broken replaced
-        hook) must resolve the ticket and count as a fallback error,
-        not escape ``submit`` with the ticket stranded."""
-        from repro.circuits import engine as engine_mod
+    def test_run_raises_on_replaced_hook(self, replaced_hook):
+        engine = CircuitEngine(xor_pair("hooked"), n_bits=N_BITS)
+        for mode in ("phasor", "trace"):
+            with pytest.raises(SimulationError, match="hook was replaced"):
+                engine.run(BATCH, mode=mode)
+        # The scalar reference never touches the baked artifact.
+        assert engine.run_scalar(BATCH).correct
 
-        executor = CircuitExecutor(n_bits=N_BITS)
-
-        def broken_run(self, *args, **kwargs):
-            raise TypeError("hook returned the wrong shape")
-
-        monkeypatch.setattr(engine_mod.CircuitEngine, "run", broken_run)
-        ticket = executor.submit(
-            xor_pair("broken"), BATCH, noise=self._noise()
-        )
-        assert ticket.done
-        with pytest.raises(TypeError, match="wrong shape"):
-            ticket.result()
-        assert executor.stats["errors"]["fallback"] == 1
-        assert executor.error_count == 1
-
-    def test_fallback_repro_error_still_counted(self, monkeypatch):
-        """The pre-fix behaviour (ReproError handling) is preserved:
-        strict physics failures resolve through the ticket."""
-        from repro.circuits import engine as engine_mod
-        from repro.errors import SimulationError
-
-        executor = CircuitExecutor(n_bits=N_BITS)
-
-        def dead_run(self, *args, **kwargs):
-            raise SimulationError("decode of cell 'y' is dead")
-
-        monkeypatch.setattr(engine_mod.CircuitEngine, "run", dead_run)
-        ticket = executor.submit(
-            xor_pair("sick"), BATCH, noise=self._noise(), strict=True
-        )
-        assert ticket.done
-        with pytest.raises(SimulationError, match="dead"):
-            ticket.result()
-        assert executor.stats["errors"]["fallback"] == 1
+    def test_tickets_resolve_with_hook_error(self, replaced_hook):
+        executor = CircuitExecutor(n_bits=N_BITS, max_block=1024)
+        tickets = [
+            executor.submit(xor_pair(f"hooked{index}"), BATCH)
+            for index in range(2)
+        ]
+        executor.flush()
+        for ticket in tickets:
+            assert ticket.done
+            with pytest.raises(SimulationError, match="hook was replaced"):
+                ticket.result()
+        assert executor.stats["errors"]["flush"] == 2
+        assert executor.stats["fallbacks"] == 0
 
 
 class TestRequestTraces:
@@ -477,7 +496,6 @@ class TestRequestTraces:
         trace = result.trace
         assert trace is ticket.trace
         assert trace.request_id == ticket.request_id
-        assert trace.path == "packed"
         assert trace.n_entries == len(BATCH)
         assert trace.compile_cache == "miss"
         assert trace.block_id == "blk-1"

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import DispersionError, EncodingError
@@ -71,6 +72,13 @@ class TestBitHelpers:
 
     def test_validate_bit_accepts_exact_floats(self):
         assert validate_bit(1.0) == 1
+
+    def test_validate_bit_accepts_numpy_scalars(self):
+        assert validate_bit(np.int64(1)) == 1
+        assert validate_bit(np.bool_(True)) == 1
+        assert validate_bit(np.float32(0.0)) == 0
+        with pytest.raises(EncodingError):
+            validate_bit(np.int64(2))
 
     def test_validate_bit_rejects(self):
         for bad in (2, -1, 0.5, None, "0"):

@@ -125,18 +125,6 @@ class TestRunRoundTrips:
         assert_pinned(remote, local)
         assert [f.cell for f in remote.faults] == ["x"]
 
-    def test_position_noise_rides_the_fallback_path(self, client, server):
-        noise = NoiseModel(position_sigma=5e-9, seed=3)
-        remote = client.run(
-            xor_pair("placed"), BATCH, noise=noise, strict=False
-        )
-        local = reference_run(
-            netlist=xor_pair("placed"), assignments_batch=BATCH,
-            noise=noise, strict=False,
-        )
-        assert_pinned(remote, local)
-        assert server.executor.stats["fallbacks"] == 1
-
     def test_adder_round_trip(self, client):
         netlist = ripple_carry_adder(3)
         batch = [{"a0": 1, "a1": 1, "a2": 0, "b0": 1, "b1": 0, "b2": 1}]
@@ -173,6 +161,25 @@ class TestErrorMapping:
         status, body = client._request("POST", "/v1/run", payload)
         assert status == 400
         assert json.loads(body)["error"]["type"] == "NetlistError"
+
+    def test_position_noise_is_http_400(self, client, server):
+        """Placement noise is a request error over the wire: the 400
+        names ``run_scalar`` as the study path and nothing runs."""
+        from repro.serve import protocol
+
+        noise = NoiseModel(position_sigma=5e-9, seed=3)
+        payload = protocol.encode_run_request(
+            xor_pair("placed"), BATCH, noise=noise, strict=False
+        )
+        status, body = client._request("POST", "/v1/run", payload)
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert error["type"] == "NetlistError"
+        assert "run_scalar" in error["message"]
+        with pytest.raises(NetlistError, match="run_scalar"):
+            client.run(xor_pair("placed"), BATCH, noise=noise)
+        assert server.executor.stats["requests"] == 0
+        assert server.executor.stats["fallbacks"] == 0
 
     def test_strict_decode_failure_is_http_422(self, client, monkeypatch):
         from repro.circuits import compiled as compiled_mod
@@ -253,7 +260,6 @@ class TestRequestTracing:
         trace = remote.trace
         assert trace is not None
         assert trace.request_id.startswith("req-")
-        assert trace.path == "packed"
         assert trace.mode == "phasor"
         assert trace.n_entries == len(BATCH)
         assert trace.compile_cache == "miss"
@@ -290,7 +296,7 @@ class TestRequestTracing:
         local = ticket.result()
         assert local.trace is ticket.trace
         assert set(remote.trace.as_dict()) == set(local.trace.as_dict())
-        for field in ("request_id", "mode", "path", "n_entries",
+        for field in ("request_id", "mode", "n_entries",
                       "block_requests", "block_words", "coalesced_with"):
             assert getattr(remote.trace, field) == getattr(
                 local.trace, field
