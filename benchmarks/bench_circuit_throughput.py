@@ -17,8 +17,9 @@ packed row beating first-run compile+execute -- stays on the scoreboard.
 
 The time-domain pair repeats the comparison for ``mode="trace"``
 (waveform generation + lock-in decode) on the full adder: packed
-levels run through the memoised carrier-basis GEMM of ``run_batch``,
-the scalar reference simulates one full ``run`` per (cell, group).
+levels run one GEMM pair against the lock-in-projected trace weights
+(``GateSimulator.trace_weights``), the scalar reference simulates one
+full ``run`` per (cell, group).
 
 Each bench records circuit name, logic depth, batch geometry, ``mode``
 and a ``words_per_second`` metric in its ``extra_info`` (snapshotted by
@@ -228,15 +229,15 @@ def test_obs_disabled_overhead(benchmark, adder_setup):
 def trace_setup():
     """A warmed full-adder engine plus one word group for trace mode.
 
-    Trace execution simulates every waveform, so the bench uses the
-    depth-2 full adder at the byte width with a single word group --
-    enough to exercise the carrier-basis GEMM without dominating the
-    bench session.
+    The scalar reference simulates every waveform, so the bench uses
+    the depth-2 full adder at the byte width with a single word group
+    -- enough to exercise the trace GEMM pair without letting the
+    scalar row dominate the bench session.
     """
     netlist, _, _ = full_adder()
     engine = CircuitEngine(netlist, n_bits=N_BITS)
     batch = _adder_batch_named(netlist, N_BITS)
-    # Warm layouts, calibrations and the memoised carrier bases.
+    # Warm layouts, calibrations and the memoised trace weights.
     engine.run_trace_batch(batch)
     return engine, netlist, batch
 

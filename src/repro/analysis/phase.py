@@ -12,6 +12,44 @@ import numpy as np
 from repro.errors import ReadoutError
 
 
+def lock_in_vector(t, frequency, t_start=0.0, t_stop=None):
+    """The ``(n_samples,)`` weights ``v`` of :func:`lock_in`, which is
+    ``signal @ v``.  The analysis window is automatically truncated to an
+    integer number of carrier periods to suppress edge leakage."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1:
+        raise ReadoutError("t must be 1-D")
+    if frequency <= 0:
+        raise ReadoutError(f"frequency must be positive, got {frequency!r}")
+    if t_stop is None:
+        t_stop = t[-1]
+    window = np.flatnonzero((t >= t_start) & (t <= t_stop))
+    if window.size < 8:
+        raise ReadoutError(
+            f"analysis window [{t_start:.4g}, {t_stop:.4g}] s holds fewer "
+            "than 8 samples"
+        )
+    tw = t[window]
+    # Truncate to an integer number of periods.
+    period = 1.0 / frequency
+    n_periods = int((tw[-1] - tw[0]) / period)
+    if n_periods < 1:
+        raise ReadoutError(
+            "analysis window shorter than one carrier period "
+            f"({period:.4g} s) at {frequency:.4g} Hz"
+        )
+    keep = tw <= tw[0] + n_periods * period
+    window = window[keep]
+    tw = tw[keep]
+    dt = tw[1] - tw[0]
+    duration = tw[-1] - tw[0] + dt
+    vector = np.zeros(t.shape[0], dtype=complex)
+    vector[window] = np.exp(-2j * np.pi * frequency * tw) * (
+        2.0 * dt / duration
+    )
+    return vector
+
+
 def lock_in(t, signal, frequency, t_start=0.0, t_stop=None):
     """Complex lock-in amplitude of ``signal`` at ``frequency``.
 
@@ -21,50 +59,19 @@ def lock_in(t, signal, frequency, t_start=0.0, t_stop=None):
     phase is ``angle + pi/2``.  Use :func:`phase_at` for the
     convention-corrected phase.
 
-    The window is automatically truncated to an integer number of carrier
-    periods to suppress leakage from the window edges.
-
     ``signal`` may also be a 2-D ``(n_traces, n_samples)`` batch sharing
     the one time grid ``t``; the lock-in then returns an ``(n_traces,)``
-    complex array (the reference waveform is built once and the
-    integration is a single matrix-vector product).
+    complex array (one matrix-vector product against
+    :func:`lock_in_vector`).
     """
-    t = np.asarray(t, dtype=float)
+    vector = lock_in_vector(t, frequency, t_start, t_stop)
     signal = np.asarray(signal, dtype=float)
-    if t.ndim != 1 or signal.ndim not in (1, 2) or signal.shape[-1] != t.shape[0]:
+    if signal.ndim not in (1, 2) or signal.shape[-1] != vector.shape[0]:
         raise ReadoutError(
-            "t must be 1-D and signal 1-D or (n_traces, n_samples) with "
-            "a matching sample axis"
+            "signal must be 1-D or (n_traces, n_samples) with a sample "
+            "axis matching t"
         )
-    if frequency <= 0:
-        raise ReadoutError(f"frequency must be positive, got {frequency!r}")
-    if t_stop is None:
-        t_stop = t[-1]
-    mask = (t >= t_start) & (t <= t_stop)
-    if mask.sum() < 8:
-        raise ReadoutError(
-            f"analysis window [{t_start:.4g}, {t_stop:.4g}] s holds fewer "
-            "than 8 samples"
-        )
-    tw = t[mask]
-    sw = signal[..., mask]
-    # Truncate to an integer number of periods.
-    period = 1.0 / frequency
-    n_periods = int((tw[-1] - tw[0]) / period)
-    if n_periods < 1:
-        raise ReadoutError(
-            "analysis window shorter than one carrier period "
-            f"({period:.4g} s) at {frequency:.4g} Hz"
-        )
-    t_end = tw[0] + n_periods * period
-    keep = tw <= t_end
-    tw = tw[keep]
-    sw = sw[..., keep]
-    reference = np.exp(-2j * np.pi * frequency * tw)
-    dt = tw[1] - tw[0]
-    integral = sw @ reference * dt
-    duration = tw[-1] - tw[0] + dt
-    return 2.0 * integral / duration
+    return signal @ vector
 
 
 def phase_at(t, signal, frequency, t_start=0.0, t_stop=None):

@@ -8,11 +8,13 @@ path of both modes (:meth:`CircuitEngine.run` and the coalescing
 * an immutable level schedule with integer *slot* tables (every node is
   a row of one preallocated ``(n_slots, padded)`` value buffer -- no
   per-run dict churn, no per-cell ``np.zeros``);
-* per-level **cross-operation packing**: the nominal propagation weights
-  of every operation sharing a level are block-stacked
+* per-level **cross-operation packing**: the weights of every
+  operation sharing a level are block-stacked
   (:meth:`~repro.waveguide.LinearWaveguideModel.block_stack_weights`)
-  so all same-layout physical cells of the level -- MAJ3 and XOR2 alike
-  -- evaluate as **one** complex GEMM per level in phasor mode;
+  so all physical cells of the level -- MAJ3 and XOR2 alike -- evaluate
+  as **one** complex GEMM per level in phasor mode, and as one GEMM pair
+  against the lock-in-projected
+  :meth:`~repro.core.simulate.GateSimulator.trace_weights` in trace mode;
 * precomputed INV/BUF masks: all free cells of a level resolve as one
   vectorised ``np.where`` over buffer rows;
 * baked-in nominal calibration rows, phase LUTs and amplitude rows per
@@ -25,10 +27,9 @@ Semantics are pinned to the scalar reference
 :meth:`CircuitEngine.run_scalar`: identical noise seeds (one derived
 model per (cell, group)), identical fault mutation order (noise first,
 then the victim column), identical dead-decode marking and strict-mode
-error messages.  Phasor bits are exact and margins agree to ~1e-15 (the
-only difference is BLAS reassociation over the packed k-dimension);
-trace mode reuses :meth:`~repro.core.simulate.GateSimulator.run_batch`
-on ndarray gathers, so it shares the time-domain physics verbatim.
+error messages.  Bits are exact and margins agree to ~1e-15 in both
+modes (the only difference is floating-point reassociation, over the
+packed k-dimension and the lock-in folded into the trace weights);
 ``tests/test_circuit_conformance.py`` pins both modes against
 :meth:`CircuitEngine.run_scalar` to <= 1e-12.
 
@@ -66,7 +67,7 @@ from repro.circuits.engine import (
 )
 from repro.circuits.library import PHYSICAL_BINDINGS, physical_arity
 from repro.core.faults import FaultySimulator
-from repro.core.readout import decode_phasor_block
+from repro.core.readout import MIN_AMPLITUDE_RATIO, decode_phasor_block
 from repro.core.simulate import GateSimulator
 from repro.errors import (
     ArtifactError,
@@ -88,7 +89,7 @@ _PRISTINE_HOOKS = (
     (GateSimulator, "build_source_bank"),
     (GateSimulator, "mutate_source_bank"),
     (GateSimulator, "run_phasor_batch"),
-    (GateSimulator, "run_batch"),
+    (GateSimulator, "trace_weights"),
     (GateSimulator, "calibration"),
     (FaultySimulator, "build_sources"),
     (FaultySimulator, "mutate_source_bank"),
@@ -252,14 +253,15 @@ class CompiledCircuit:
         # traces report it so a cache-miss request explains its latency.
         self.compile_seconds = time.perf_counter() - started
         registry.inc("circuit.compiles")
-        # Per-shape run scratch, grown lazily and reused across runs.
+        self._reset_runtime()
+
+    def _reset_runtime(self):
+        """Empty the per-process state, all of it regrown lazily."""
         self._value_buffers = {}
         self._failed_buffers = {}
         self._excite_buffers = {}
-        # (operation, fault) -> FaultySimulator / calibration arrays
-        # (None when the faulted calibration cannot decode at all).
-        self._faulty_sims = {}
         self._faulty_cal = {}
+        self._trace_maps = None
 
     @property
     def n_physical_cells(self):
@@ -364,15 +366,8 @@ class CompiledCircuit:
                     )
                 (op.weights, op.cal_phases, op.cal_amps, op.phase_lut,
                  op.amp_row, op.amplitude_readout) = tables[op.operation]
-        # Cross-op packing: one block-diagonal weight matrix per level
-        # (memoised per operation combination -- levels sharing a combo
-        # share one matrix).  Single-op levels use the operation's own
-        # weights directly.
-        stack_memo = {}
         n_bits = self.n_bits
         for plan in self.levels:
-            if not plan.ops:
-                continue
             source_offset = detector_offset = 0
             for op in plan.ops:
                 op.src_offset = source_offset
@@ -380,16 +375,47 @@ class CompiledCircuit:
                 source_offset += op.n_inputs * n_bits
                 detector_offset += n_bits
             plan.n_sources = source_offset
-            if len(plan.ops) == 1:
-                plan.weights = plan.ops[0].weights
-            else:
-                key = tuple(op.operation for op in plan.ops)
-                if key not in stack_memo:
-                    stack_memo[key] = LinearWaveguideModel.block_stack_weights(
-                        [op.weights for op in plan.ops],
+        stacked = self._stack_per_level(
+            {operation: table[0] for operation, table in tables.items()}
+        )
+        for plan, weights in zip(self.levels, stacked):
+            plan.weights = weights
+
+    def _stack_per_level(self, blocks):
+        """Per level, its operations' ``blocks`` block-stacked (memoised
+        per operation combination; a single block as is, None if none)."""
+        keys = [tuple(op.operation for op in plan.ops) for plan in self.levels]
+        memo = {(): None}
+        for key in keys:
+            if key not in memo:
+                memo[key] = (
+                    blocks[key[0]] if len(key) == 1
+                    else LinearWaveguideModel.block_stack_weights(
+                        [blocks[operation] for operation in key],
                         backend=self.bindings.backend,
                     )
-                plan.weights = stack_memo[key]
+                )
+        return [memo[key] for key in keys]
+
+    def _trace_level_maps(self):
+        """Per level, ``(A, B, lock_ins)`` of its operations'
+        :meth:`~repro.core.simulate.GateSimulator.trace_weights`, built
+        on the first trace-mode run so phasor-only serving never pays."""
+        if self._trace_maps is None:
+            simulator = self.bindings.simulator
+            maps = {
+                op.operation: simulator(op.operation).trace_weights()
+                for plan in self.levels for op in plan.ops
+            }
+            forward, backward = (
+                self._stack_per_level({o: m[i] for o, m in maps.items()})
+                for i in (0, 1)
+            )
+            self._trace_maps = [
+                (a, b, [maps[op.operation][2] for op in plan.ops])
+                for plan, a, b in zip(self.levels, forward, backward)
+            ]
+        return self._trace_maps
 
     # ------------------------------------------------------------------
     # Per-run scratch
@@ -431,28 +457,18 @@ class CompiledCircuit:
             self._excite_buffers[key] = excite
         return excite
 
-    def _fault_simulator(self, operation, fault):
-        """Cached FaultySimulator (validates the fault's coordinates)."""
-        key = (operation, fault)
-        simulator = self._faulty_sims.get(key)
-        if simulator is None:
-            simulator = self.bindings.faulty_simulator(operation, fault)
-            self._faulty_sims[key] = simulator
-        return simulator
-
     def _fault_calibration(self, operation, fault):
         """Per-(operation, fault) calibration rows; None when undecodable.
 
         Faulted calibration *includes* the fault (the inherited
         calibration path builds the zero-word bank and mutates it), so a
-        fault that silences the all-zeros reference -- e.g. stuck-phase-1
-        on an XOR2 input -- yields None here and every row of that cell
-        decodes dead, exactly like the scalar reference, whose every
-        call of that cell fails calibration.
+        fault that silences the all-zeros reference yields None here and
+        every row of that cell decodes dead, exactly like the scalar
+        reference, whose every call of that cell fails calibration.
         """
         key = (operation, fault)
         if key not in self._faulty_cal:
-            simulator = self._fault_simulator(operation, fault)
+            simulator = self.bindings.faulty_simulator(operation, fault)
             try:
                 self._faulty_cal[key] = simulator.calibration_arrays()
             except SimulationError:
@@ -521,6 +537,7 @@ class CompiledCircuit:
         draws = {}
         registry = obs.get_registry() if registry is None else registry
         registry.inc("circuit.packed_runs")
+        trace_maps = self._trace_level_maps() if mode == "trace" else None
         for level_index, plan in enumerate(self.levels):
             if plan.v_out is not None:
                 source = buf[plan.v_src]
@@ -529,20 +546,13 @@ class CompiledCircuit:
                 )
             op_data = []
             if plan.ops:
-                if mode == "trace":
-                    with registry.span("circuit/level/trace"):
-                        self._execute_level_trace(
-                            plan, buf, failed, n_groups, n_valid, contexts,
-                            group_faults, op_data, dead_meta,
-                        )
-                else:
-                    registry.inc("circuit.level_gemms")
-                    with registry.span("circuit/level/phasor"):
-                        self._execute_level_phasor(
-                            level_index, plan, buf, failed, n_groups,
-                            n_valid, contexts, group_faults, draws, op_data,
-                            dead_meta,
-                        )
+                registry.inc("circuit.level_gemms")
+                with registry.span(f"circuit/level/{mode}"):
+                    self._execute_level(
+                        level_index, plan, buf, failed, n_groups, n_valid,
+                        contexts, group_faults, draws, op_data, dead_meta,
+                        trace_maps and trace_maps[level_index],
+                    )
             level_data.append(op_data)
         return _PackedRun(
             n_groups=n_groups,
@@ -553,10 +563,12 @@ class CompiledCircuit:
             dead_meta=dead_meta,
         )
 
-    def _execute_level_phasor(self, level_index, plan, buf, failed, n_groups,
-                              n_valid, contexts, group_faults, draws,
-                              op_data, dead_meta):
-        """One cross-op packed GEMM evaluates every physical cell."""
+    def _execute_level(self, level_index, plan, buf, failed, n_groups,
+                       n_valid, contexts, group_faults, draws, op_data,
+                       dead_meta, trace):
+        """One cross-op packed GEMM evaluates every physical cell;
+        trace mode passes the level's ``(A, B, lock_ins)``
+        (:meth:`_trace_level_maps`) as ``trace``."""
         n_bits = self.n_bits
         padded = n_groups * n_bits
         excite = self._excite_buffer(level_index, plan, n_groups)
@@ -579,6 +591,7 @@ class CompiledCircuit:
             amplitude = np.broadcast_to(op.amp_row, (rows, n_sources))
             row_refs = None
             forced_dead = None
+            noise_rows = []
             mutate = any(contexts[g][0] is not None for g in range(n_groups))
             mutate = mutate or any(
                 name in faults
@@ -606,6 +619,9 @@ class CompiledCircuit:
                             factor, phase_offset, _ = draws[draw_key]
                             amplitude[row] *= factor
                             phase[row] += phase_offset
+                        if (trace is not None and noise is not None
+                                and noise.trace_sigma > 0):
+                            noise_rows.append((row, noise))
                         fault = group_faults[group].get(name)
                         if fault is None:
                             continue
@@ -646,14 +662,24 @@ class CompiledCircuit:
                 op.src_offset : op.src_offset + n_sources,
             ] = amplitude * np.exp(1j * phase)
             jobs.append((op_index, op, row_offset, rows, row_refs,
-                         forced_dead))
+                         forced_dead, noise_rows))
             row_offset += rows
-        phasors = excite @ plan.weights
-        for op_index, op, row_start, rows, row_refs, forced_dead in jobs:
+        if trace is None:
+            phasors = excite @ plan.weights
+            min_ratio = 0.0
+        else:
+            forward, backward, lock_ins = trace
+            phasors = excite @ forward + excite.conj() @ backward
+            min_ratio = MIN_AMPLITUDE_RATIO
+        for (op_index, op, row_start, rows, row_refs, forced_dead,
+             noise_rows) in jobs:
             block = phasors[
                 row_start : row_start + rows,
                 op.det_offset : op.det_offset + n_bits,
             ]
+            for row, noise in noise_rows:
+                lock_in = lock_ins[op_index]
+                block[row] += noise.trace_perturbation(len(lock_in)) @ lock_in
             if row_refs is None:
                 ref_phases, ref_amps = op.cal_phases, op.cal_amps
             else:
@@ -661,6 +687,7 @@ class CompiledCircuit:
             bits, _, amplitudes, margins, dead = decode_phasor_block(
                 block, ref_phases, ref_amps,
                 amplitude_readout=op.amplitude_readout,
+                min_amplitude_ratio=min_ratio,
             )
             dead_rows = dead.any(axis=1)
             if forced_dead is not None:
@@ -688,83 +715,6 @@ class CompiledCircuit:
                 amplitudes.reshape(op.n_cells, n_groups, n_bits),
                 dead_rows.reshape(op.n_cells, n_groups),
             ))
-
-    def _execute_level_trace(self, plan, buf, failed, n_groups, n_valid,
-                             contexts, group_faults, op_data, dead_meta):
-        """Waveform execution per (level, op) on ndarray gathers.
-
-        Per-gate time grids differ, so trace mode cannot cross-op pack;
-        instead each operation's (cell, group) rows partition by fault
-        and run through the array-native
-        :meth:`~repro.core.simulate.GateSimulator.run_batch` -- the
-        batched form of the scalar reference's per-entry ``run``, fed
-        straight from the value buffer.
-        """
-        n_bits = self.n_bits
-        for op_index, op in enumerate(plan.ops):
-            n_cells, n_inputs = op.n_cells, op.n_inputs
-            rows = n_cells * n_groups
-            entries_all = (
-                buf[op.fanin_slots]
-                .reshape(n_cells, n_inputs, n_groups, n_bits)
-                .transpose(0, 2, 1, 3)
-                .reshape(rows, n_inputs, n_bits)
-            )
-            margins = np.full((n_cells, n_groups, n_bits), math.nan)
-            amplitudes = np.full((n_cells, n_groups, n_bits), math.nan)
-            dead_rows = np.zeros((n_cells, n_groups), dtype=bool)
-            jobs = {}
-            for cell_index, name in enumerate(op.names):
-                for group in range(n_groups):
-                    fault = group_faults[group].get(name)
-                    jobs.setdefault(fault, []).append((cell_index, group))
-            keys = list(jobs)
-            if None in jobs:
-                keys.remove(None)
-                keys.insert(0, None)
-            for fault in keys:
-                pairs = jobs[fault]
-                if fault is None:
-                    simulator = self.bindings.simulator(op.operation)
-                else:
-                    simulator = self._fault_simulator(op.operation, fault)
-                if len(pairs) == rows:
-                    entries = entries_all
-                else:
-                    entries = entries_all[
-                        np.array([c * n_groups + g for c, g in pairs])
-                    ]
-                noises = [
-                    self._derived_noise(contexts[g], op.physical_indices[c])
-                    for c, g in pairs
-                ]
-                if all(noise is None for noise in noises):
-                    noises = None
-                runs = simulator.run_batch(
-                    np.ascontiguousarray(entries), noises=noises,
-                    strict=False,
-                )
-                for (cell_index, group), run in zip(pairs, runs):
-                    window = slice(group * n_bits, (group + 1) * n_bits)
-                    if run is None:
-                        failed[
-                            group * n_bits : group * n_bits + n_valid[group]
-                        ] = True
-                        buf[op.out_slots[cell_index], window] = 0
-                        dead_rows[cell_index, group] = True
-                        dead_meta.append((
-                            plan.level, op_index, fault is not None,
-                            cell_index, group, op.names[cell_index],
-                        ))
-                        continue
-                    buf[op.out_slots[cell_index], window] = run.decoded
-                    margins[cell_index, group] = [
-                        d.margin for d in run.decodes
-                    ]
-                    amplitudes[cell_index, group] = [
-                        d.amplitude for d in run.decodes
-                    ]
-            op_data.append((op, margins, amplitudes, dead_rows))
 
     # ------------------------------------------------------------------
     # Result construction
@@ -922,8 +872,8 @@ class CompiledCircuit:
         schedule, slot tables, packed weights and baked calibration --
         plus the identity envelope a loader verifies (format version,
         content-hash signature, ``n_bits``, backend key).  Per-process
-        runtime state (the bindings, lazily-grown buffers and faulty
-        simulators) is deliberately excluded: :meth:`load` re-attaches
+        runtime state (the bindings and :meth:`_reset_runtime` state)
+        is deliberately excluded: :meth:`load` re-attaches
         fresh bindings and rebuilds scratch lazily.  This is the fleet
         warm-start path: workers load artifacts instead of paying
         compile + calibration (:meth:`CompiledCircuitCache.warm`).
@@ -1006,11 +956,7 @@ class CompiledCircuit:
         # still load; they simply report an unknown (zero) compile time.
         artifact.__dict__.setdefault("compile_seconds", 0.0)
         artifact.bindings = bindings
-        artifact._value_buffers = {}
-        artifact._failed_buffers = {}
-        artifact._excite_buffers = {}
-        artifact._faulty_sims = {}
-        artifact._faulty_cal = {}
+        artifact._reset_runtime()
         obs.get_registry().inc("circuit.artifact_loads")
         return artifact
 
@@ -1020,11 +966,10 @@ class CompiledCircuit:
 ARTIFACT_FORMAT = 2
 
 #: Per-process runtime state excluded from saved artifacts: bindings
-#: are re-attached on load, scratch buffers and faulty-simulator
-#: caches regrow lazily.
+#: are re-attached on load, the rest regrows lazily.
 _RUNTIME_ATTRS = frozenset((
     "bindings", "_value_buffers", "_failed_buffers", "_excite_buffers",
-    "_faulty_sims", "_faulty_cal",
+    "_faulty_cal", "_trace_maps",
 ))
 
 

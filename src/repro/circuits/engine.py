@@ -33,20 +33,18 @@ the loop the packed path is pinned to.
 
 Two execution *modes* share this schedule.  The default ``"phasor"``
 mode evaluates steady-state phasors only; ``"trace"`` mode
-(:meth:`CircuitEngine.run_trace_batch`, or ``run(mode="trace")``) runs
-the full waveform physics instead: every (cell, group) pair generates
-time-domain detector traces through
-:meth:`~repro.core.simulate.GateSimulator.run_batch` (the batched
-carrier-basis GEMM of
-:meth:`~repro.waveguide.LinearWaveguideModel.trace_batch`, memoised per
-gate geometry) and decodes them by lock-in demodulation over the settled
-analysis window -- so propagation delay, causal wavefronts and
-finite-window phase estimation are all part of circuit execution, not
-just of single-gate studies.  Both modes share the fault plumbing, the
-per-(cell, group) noise seeding and the per-level decode-margin
-reports; ``tests/test_circuit_conformance.py`` pins the Boolean model,
-the scalar reference and the packed path in both modes against each
-other on randomized netlists.
+(:meth:`CircuitEngine.run_trace_batch`, or ``run(mode="trace")``)
+decodes what the full waveform physics measures -- detector traces
+demodulated by lock-in over the settled analysis window (linear, so
+the packed path folds both into
+:meth:`~repro.core.simulate.GateSimulator.trace_weights`) -- so
+propagation delay, causal wavefronts and finite-window phase estimation
+are all part of circuit execution, not just of single-gate studies.
+Both modes share the fault plumbing, the per-(cell, group) noise
+seeding and the per-level decode-margin reports;
+``tests/test_circuit_conformance.py`` pins the Boolean model, the
+scalar reference and the packed path in both modes against each other
+on randomized netlists.
 
 Faults (:class:`CellFault`, reusing
 :class:`~repro.core.faults.FaultySimulator` column mutation) and
@@ -421,14 +419,13 @@ class CircuitEngine:
             ``failed`` and a regenerated 0 propagates onward.
         mode:
             ``"phasor"`` (default) evaluates steady-state phasors;
-            ``"trace"`` runs the full time-domain waveform physics --
-            every (cell, group) generates detector traces and decodes
-            them by lock-in over the settled window
-            (:meth:`~repro.core.simulate.GateSimulator.run_batch`).
+            ``"trace"`` decodes what a lock-in over the settled window
+            of every (cell, group)'s detector traces measures
+            (:meth:`~repro.core.simulate.GateSimulator.trace_weights`).
 
         The batch executes through the compile-once packed artifact
-        (:meth:`compiled`): one cross-op GEMM per level in phasor mode,
-        preallocated buffers.  Returns a :class:`CircuitRunResult`.
+        (:meth:`compiled`): one cross-op GEMM per level (a pair in trace
+        mode), preallocated buffers.  Returns a :class:`CircuitRunResult`.
         Decoded (possibly wrong) bits always propagate to later levels
         -- regeneration restores amplitude, not truth -- so fault and
         noise effects compound through the DAG exactly as in hardware.

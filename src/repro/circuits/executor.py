@@ -3,9 +3,9 @@
 A :class:`CircuitExecutor` serves *many* logical circuit-evaluation
 requests -- potentially over many distinct netlists -- from one shared
 :class:`~repro.circuits.library.GateBindings` (one waveguide model, one
-gate template and one memoised weight/basis cache per operation) and
-one :class:`~repro.circuits.compiled.CompiledCircuitCache` of packed
-artifacts.
+gate template and one set of memoised phasor/trace weights per
+operation) and one :class:`~repro.circuits.compiled.CompiledCircuitCache`
+of packed artifacts.
 
 Requests enter through :meth:`CircuitExecutor.submit`, which returns an
 :class:`ExecutionTicket` immediately; the executor **coalesces** queued
@@ -216,7 +216,7 @@ class CircuitExecutor:
         Forwarded to a fresh :class:`~repro.circuits.library.GateBindings`
         when ``bindings`` is not supplied -- every circuit this executor
         serves shares that one physics configuration (and therefore its
-        memoised propagation weights and trace bases).
+        memoised propagation and trace weights).
     bindings:
         An existing bindings object to share (e.g. with engines built
         elsewhere).

@@ -82,14 +82,14 @@ class GateBindings:
 
     The lazily-built state every circuit-execution front end needs --
     the engine-wide :class:`~repro.waveguide.LinearWaveguideModel`
-    (whose weight/basis caches make repeated evaluation cheap), one
+    (whose weight cache makes repeated evaluation cheap), one
     laid-out :class:`~repro.core.gate.DataParallelGate` template per
     physical operation, and one nominal
     :class:`~repro.core.simulate.GateSimulator` per operation.  A
     :class:`~repro.circuits.engine.CircuitEngine` owns one by default;
     the :class:`~repro.circuits.executor.CircuitExecutor` shares a
     single instance across *many* circuits so memoised propagation
-    weights and trace bases amortise over every netlist it serves.
+    weights and trace weights amortise over every netlist it serves.
     """
 
     def __init__(self, n_bits=8, waveguide=None, transducer=None, backend=None):

@@ -22,6 +22,13 @@ from repro.errors import ReadoutError
 from repro.analysis.phase import fft_phasor, lock_in
 
 
+#: Makes a :func:`~repro.analysis.phase.lock_in` amplitude sine-referenced.
+SINE_REFERENCE = cmath.exp(0.5j * math.pi)
+#: Lock-in phase readout refuses carriers below this fraction of the
+#: reference amplitude (:func:`decode_channel`).
+MIN_AMPLITUDE_RATIO = 0.05
+
+
 def _wrap(phase):
     return (phase + math.pi) % (2.0 * math.pi) - math.pi
 
@@ -58,8 +65,7 @@ def measure_phasor(t, trace, frequency, t_start, method="lockin"):
     implementations of the same measurement.
     """
     if method == "lockin":
-        z = lock_in(t, trace, frequency, t_start=t_start)
-        return z * cmath.exp(0.5j * math.pi)  # sine-referenced
+        return lock_in(t, trace, frequency, t_start=t_start) * SINE_REFERENCE
     if method == "fft":
         mask = t >= t_start
         return fft_phasor(t[mask], trace[mask], frequency)
@@ -81,7 +87,7 @@ def decode_channel(
     method="lockin",
     amplitude_readout=False,
     amplitude_threshold=0.5,
-    min_amplitude_ratio=0.05,
+    min_amplitude_ratio=MIN_AMPLITUDE_RATIO,
     phasor=None,
 ):
     """Decode one channel from a detector trace.
@@ -152,6 +158,7 @@ def decode_phasor_block(
     reference_amplitudes,
     amplitude_readout=False,
     amplitude_threshold=0.5,
+    min_amplitude_ratio=0.0,
 ):
     """Vectorised steady-state decode of an ``(n_sets, n_channels)`` block.
 
@@ -164,8 +171,9 @@ def decode_phasor_block(
 
     Returns ``(bits, phases, amplitudes, margins, dead)`` arrays of the
     block's shape.  ``dead`` marks phase-readout entries whose carrier
-    amplitude is exactly zero (undecodable -- the scalar path raises
-    there); their other outputs are filler and must not be used.
+    amplitude is exactly zero, or below ``min_amplitude_ratio`` of the
+    reference (lock-in phasors pass :data:`MIN_AMPLITUDE_RATIO`), where
+    the scalar paths raise; their other outputs are filler.
     """
     phasors = np.asarray(phasors, dtype=complex)
     reference_phases = np.asarray(reference_phases, dtype=float)
@@ -185,7 +193,8 @@ def decode_phasor_block(
         dead = np.zeros(phasors.shape, dtype=bool)
         return bits, phases, amplitudes, margins, dead
 
-    dead = amplitudes == 0.0
+    floor = min_amplitude_ratio * reference_amplitudes
+    dead = (amplitudes == 0.0) | (amplitudes < floor)
     bits = (np.abs(relative) > 0.5 * math.pi).astype(np.int64)
     margins = np.abs(np.abs(relative) - 0.5 * math.pi)
     return bits, relative, amplitudes, margins, dead

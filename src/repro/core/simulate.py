@@ -30,14 +30,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.analysis.phase import lock_in_vector
 from repro.core.encoding import PhaseEncoding
 from repro.core.readout import (
+    SINE_REFERENCE,
     ChannelDecode,
     decode_channel,
     decode_phasor_block,
     measure_phasor,
 )
-from repro.errors import ReproError, SimulationError
+from repro.errors import SimulationError
 from repro.waveguide.linear_model import Detector, LinearWaveguideModel, WaveSource
 from repro.waveguide.sources import SourceBank
 
@@ -160,6 +162,7 @@ class GateSimulator:
         )
         self._nominal_geometry = None
         self._nominal_weights = None
+        self._trace_weights = None
 
     # ------------------------------------------------------------------
     # Source construction
@@ -324,8 +327,7 @@ class GateSimulator:
         Idempotent: applying it to its own output is a no-op, so nested
         entry points may each normalise their inputs.  Accepts an
         ``(n_sets, n_words, width)`` integer ndarray in place of nested
-        word lists -- the array-native form batched circuit execution
-        feeds -- and passes it through without per-entry conversion.
+        word lists and passes it through without per-entry conversion.
         """
         if not isinstance(words_batch, np.ndarray):
             words_batch = list(words_batch)
@@ -489,15 +491,20 @@ class GateSimulator:
             )
         return duration, t_start
 
-    def run(self, words, duration=None, sample_rate=None, method="lockin"):
-        """Full time-domain evaluation: traces + decoded output word."""
-        sources = self.build_sources(words)
-        detectors = [
+    def _detectors(self):
+        """One :class:`Detector` per channel, labelled by channel index."""
+        return [
             Detector(position=p, label=str(i))
             for i, p in enumerate(self.layout.detector_positions)
         ]
+
+    def run(self, words, duration=None, sample_rate=None, method="lockin"):
+        """Full time-domain evaluation: traces + decoded output word."""
+        sources = self.build_sources(words)
         duration, t_start = self._trace_window(duration)
-        result = self.model.run(sources, detectors, duration, sample_rate=sample_rate)
+        result = self.model.run(
+            sources, self._detectors(), duration, sample_rate=sample_rate
+        )
         trace_rows = [
             result["traces"][str(channel)]
             for channel in range(self.gate.n_bits)
@@ -513,7 +520,6 @@ class GateSimulator:
         sample_rate=None,
         method="lockin",
         noises=None,
-        strict=True,
     ):
         """Time-domain evaluation of many input words in one batch.
 
@@ -528,12 +534,9 @@ class GateSimulator:
         covers every entry, including entries whose noise model adds
         trace noise (their rows are perturbed in-block with the same
         realisation the scalar path draws).  Returns a list of
-        :class:`GateRunResult`, one per entry of ``words_batch``.  With
-        ``strict=False``, an entry whose decode fails (e.g. a fault left
-        a phase-readout carrier too weak to measure) yields ``None``
-        instead of raising -- the same convention as
-        :meth:`run_phasor_batch` -- so degraded-gate sweeps keep their
-        batch shape.
+        :class:`GateRunResult`, one per entry of ``words_batch``; an
+        entry whose decode fails (e.g. a fault left a phase-readout
+        carrier too weak to measure) raises, as :meth:`run` does.
         """
         words_batch, noises, bank = self._batch_sources(words_batch, noises)
         if isinstance(words_batch, np.ndarray):
@@ -541,14 +544,10 @@ class GateSimulator:
             # per-entry work (golden outputs, result records) runs
             # per-word Python code, so convert once in bulk here.
             words_batch = words_batch.tolist()
-        detectors = [
-            Detector(position=p, label=str(i))
-            for i, p in enumerate(self.layout.detector_positions)
-        ]
         duration, t_start = self._trace_window(duration)
         result = self.model.run_batch(
             bank,
-            detectors,
+            self._detectors(),
             duration,
             sample_rate=sample_rate,
             cache_basis=self._bank_is_nominal(bank),
@@ -596,17 +595,12 @@ class GateSimulator:
             if batch_phasors is not None:
                 phasors = [column[entry] for column in batch_phasors]
                 noise_row = noise_rows.get(entry)
-            try:
-                results.append(
-                    self._decode_trace_run(
-                        words, t, trace_rows, t_start, method, noise,
-                        phasors, noise_row,
-                    )
+            results.append(
+                self._decode_trace_run(
+                    words, t, trace_rows, t_start, method, noise,
+                    phasors, noise_row,
                 )
-            except ReproError:
-                if strict:
-                    raise
-                results.append(None)
+            )
         return results
 
     def run_phasor(self, words):
@@ -687,6 +681,50 @@ class GateSimulator:
                 cache=True,
             )
         return self._nominal_weights
+
+    def trace_weights(self):
+        """Lock-in-projected trace maps ``(A, B, R)`` of the nominal layout.
+
+        Traces and the lock-in are linear, so for excitations ``E =
+        amplitude * exp(i * phase)`` the phasor :meth:`run_batch`
+        measures (default window, ``method="lockin"``) is ``E @ A +
+        conj(E) @ B``, and a trace noise row ``w`` adds ``w @ R``, whose
+        columns are the channels' sine-referenced lock-in vectors.
+        Memoised and frozen in the backend's complex dtype; the carrier
+        bases behind it are never cached.
+        """
+        if self._trace_weights is None:
+            duration, t_start = self._trace_window(None)
+            position, frequency = self._nominal_source_geometry()
+            n_sources = position.size
+            # Each source alone at E = 1 (response P), then at E = i (Q):
+            # z = Re(E) P + Im(E) Q = E (P - iQ) / 2 + conj(E) (P + iQ) / 2.
+            units = SourceBank.from_arrays(
+                position=position,
+                frequency=frequency,
+                amplitude=np.tile(np.eye(n_sources), (2, 1)),
+                phase=np.repeat([[0.0], [0.5 * math.pi]], n_sources, axis=0),
+            )
+            result = self.model.run_batch(units, self._detectors(), duration)
+            lock_ins = SINE_REFERENCE * np.stack(
+                [lock_in_vector(result["t"], carrier, t_start)
+                 for carrier in self.layout.plan.frequencies],
+                axis=1,
+            )
+            response = np.stack(
+                [result["traces"][str(channel)] @ lock_ins[:, channel]
+                 for channel in range(self.gate.n_bits)],
+                axis=1,
+            )
+            p, q = response[:n_sources], response[n_sources:]
+            maps = tuple(
+                self.model.backend.cast(array, kind="complex")
+                for array in ((p - 1j * q) / 2, (p + 1j * q) / 2, lock_ins)
+            )
+            for array in maps:
+                array.setflags(write=False)
+            self._trace_weights = maps
+        return self._trace_weights
 
     def calibration_arrays(self):
         """Calibration as ``(reference_phases, reference_amplitudes)``

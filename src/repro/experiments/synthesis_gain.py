@@ -59,7 +59,7 @@ def run(circuits=None, n_bits=4, n_groups=2, seed=7,
     circuits = list(circuits) if circuits is not None else synthesis_suite()
     rng = np.random.default_rng(seed)
     # Every mapping of every circuit is served by one executor: one
-    # shared bindings object (weights and trace bases memoised across
+    # shared bindings object (phasor and trace weights memoised across
     # circuits) and one compile cache of packed artifacts.
     executor = CircuitExecutor(n_bits=n_bits)
     rows = []

@@ -141,11 +141,14 @@ class _Handler(BaseHTTPRequestHandler):
         request_id = self.headers.get("X-Request-Id") or None
         try:
             length = int(self.headers.get("Content-Length", 0))
+            if length < 0:  # rfile.read(-1) would block until hang-up
+                self.close_connection = True
+                raise ValueError(f"Content-Length {length} is negative")
             payload = json.loads(self.rfile.read(length) or b"null")
         except (ValueError, TypeError) as exc:
             self._send(400, {"error": {
                 "type": "NetlistError",
-                "message": f"request body is not valid JSON: {exc}",
+                "message": f"unreadable request body: {exc}",
             }})
             app.log_access(
                 "POST", path, 400, time.perf_counter() - started,

@@ -233,11 +233,10 @@ class LinearWaveguideModel:
         products against this basis (see :meth:`trace_batch`).
 
         With ``cache=True`` the basis is memoised per exact
-        ``(geometry, detector, time grid)`` -- circuit-level trace
-        execution re-evaluates the same few gate geometries on the same
-        grid once per (level, operation, fault variant) call, so the
-        basis (the expensive ``sin``/``cos`` over ``n_sources x
-        n_samples``) is paid once per gate instead of once per call.
+        ``(geometry, detector, time grid)`` -- repeated batches of one
+        gate (:meth:`~repro.core.simulate.GateSimulator.run_batch`) then
+        pay the expensive ``sin``/``cos`` over ``n_sources x n_samples``
+        once instead of once per call.
         Only nominal (recurring) geometries should cache: placement-noise
         draws never repeat and would grow the cache without bound.  The
         returned arrays are frozen; derive, don't mutate.

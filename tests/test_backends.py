@@ -224,11 +224,14 @@ class TestDtypeDiscipline:
         engine = self._engine()
         result = engine.run_trace_batch(BATCH)
         assert result.correct
-        model = engine.bindings.model()
-        assert model._basis_cache, "trace run should memoise carrier bases"
-        for basis_sin, basis_cos in model._basis_cache.values():
-            assert basis_sin.dtype == np.float32
-            assert basis_cos.dtype == np.float32
+        artifact = engine.compiled()
+        assert artifact._trace_maps, "trace run should build trace maps"
+        for forward, backward, lock_ins in artifact._trace_maps:
+            if forward is None:
+                continue
+            assert forward.dtype == np.complex64
+            assert backward.dtype == np.complex64
+            assert all(r.dtype == np.complex64 for r in lock_ins)
 
     def test_float32_results_match_float64_reference(self):
         """Numerics: the float32 circuit decodes the same outputs and

@@ -39,6 +39,7 @@ from repro.circuits import (
 from repro.circuits.library import PHYSICAL_BINDINGS, physical_arity
 from repro.circuits.netlist import Netlist
 from repro.core.faults import TransducerFault
+from repro.core.readout import MIN_AMPLITUDE_RATIO
 from repro.core.simulate import GateSimulator
 from repro.circuits.library import physical_gate
 from repro.errors import NetlistError, SimulationError
@@ -202,9 +203,12 @@ class TestConformanceFast:
         engine = CircuitEngine(netlist, n_bits=N_BITS)
         noise = NoiseModel(position_sigma=1e-9, seed=60 + seed)
         batch = random_batch(netlist, seed, n_entries=4)
-        nominal = engine.run(batch, mode="trace")  # populates basis cache
-        cached = len(engine.model()._basis_cache)
-        assert cached > 0
+        nominal = engine.run(batch, mode="trace")  # builds the trace maps
+        simulators = [
+            engine.simulator_for(operation) for operation in PHYSICAL_BINDINGS
+        ]
+        memo = [simulator._trace_weights for simulator in simulators]
+        assert any(maps is not None for maps in memo)
         for mode in ("phasor", "trace"):
             with pytest.raises(NetlistError, match="run_scalar"):
                 engine.run(batch, noise=noise, strict=False, mode=mode)
@@ -221,7 +225,11 @@ class TestConformanceFast:
             for name, record in trace.cells.items()
         )
         # Jittered geometries never repeat and must not be memoised.
-        assert len(engine.model()._basis_cache) == cached
+        assert all(
+            simulator._trace_weights is maps
+            for simulator, maps in zip(simulators, memo)
+        )
+        assert engine.model()._basis_cache == {}
 
     def test_multi_fault_conformance(self):
         """Distinct-cell fault lists conform across all four backends."""
@@ -239,10 +247,11 @@ class TestConformanceFast:
 class TestCoalescedConformance:
     """Coalesced executor blocks reproduce scalar runs <= 1e-12.
 
-    Four requests -- nominal, noisy, single-fault and multi-fault -- are
-    queued against structurally equal netlists (distinct objects, same
-    content hash) and executed as ONE packed block; every ticket must
-    pin to the uncoalesced ``CircuitEngine.run_scalar`` reference.
+    Five requests -- nominal, noisy, trace-noisy, single-fault and
+    multi-fault -- are queued against structurally equal netlists
+    (distinct objects, same content hash) and executed as ONE packed
+    block; every ticket must pin to the uncoalesced
+    ``CircuitEngine.run_scalar`` reference.
     """
 
     @pytest.mark.parametrize("mode", ["phasor", "trace"])
@@ -255,11 +264,13 @@ class TestCoalescedConformance:
         noise = NoiseModel(
             amplitude_sigma=0.03, phase_sigma=0.05, seed=70 + seed
         )
+        trace_noise = NoiseModel(trace_sigma=0.05, seed=80 + seed)
         fault = seeded_fault(engine, seed)
         assert fault is not None
         configs = [
             (random_batch(netlist, seed), (), None),
             (random_batch(netlist, seed + 1), (), noise),
+            (random_batch(netlist, seed + 4), (), trace_noise),
             (random_batch(netlist, seed + 2), (fault,), None),
             (random_batch(netlist, seed + 3), tuple(two_faults(engine)),
              None),
@@ -419,24 +430,61 @@ class TestCoalescedConformance:
 
 
 # ----------------------------------------------------------------------
-# Gate-level strictness of the trace batch (the engine relies on it)
+# Lock-in weak-carrier rule: trace mode refuses what phasor mode decodes
+# ----------------------------------------------------------------------
+class TestWeakCarrierRule:
+    def test_trace_marks_weak_carrier_dead(self):
+        """A carrier at ~1% of its reference: phasor mode decodes it,
+        trace mode (lock-in readout) marks it dead exactly like its
+        scalar reference, strict message included."""
+        netlist = Netlist("weak")
+        for name in ("a", "b", "c"):
+            netlist.add_input(name)
+        netlist.add_cell("m", "MAJ3", ("a", "b", "c"))
+        netlist.mark_output("m")
+        engine = CircuitEngine(netlist, n_bits=N_BITS)
+        fault = TransducerFault("dead-source", channel=0, input_index=0)
+        faults = [CellFault("m", fault)]
+        # Channel 0 sees inputs (a, 0, 1): with source a dead, b and c
+        # nearly cancel.
+        batch = [{"a": 1, "b": 0, "c": 1}, {"a": 0, "b": 1, "c": 1}]
+        phasor = engine.run(batch, faults=faults, strict=False)
+        assert phasor.failed == [False, False]
+        reference_amplitude = engine.bindings.faulty_simulator(
+            "MAJ3", fault
+        ).calibration()[0][1]
+        ratio = phasor.cells["m"].amplitudes[0] / reference_amplitude
+        assert 0 < ratio < MIN_AMPLITUDE_RATIO
+        trace = engine.run(batch, faults=faults, strict=False, mode="trace")
+        trace_ref = engine.run_scalar(
+            batch, faults=faults, strict=False, mode="trace"
+        )
+        assert trace.failed == [True, True]
+        assert_pinned(trace, trace_ref)
+        with pytest.raises(SimulationError) as packed_error:
+            engine.run(batch, faults=faults, mode="trace")
+        with pytest.raises(SimulationError) as scalar_error:
+            engine.run_scalar(batch, faults=faults, mode="trace")
+        assert str(packed_error.value) == str(scalar_error.value)
+
+
+# ----------------------------------------------------------------------
+# Gate-level strictness of the trace batch
 # ----------------------------------------------------------------------
 class TestTraceBatchStrictness:
-    def test_undecodable_trace_entries_yield_none(self):
-        """strict=False turns decode failures into None entries."""
+    def test_undecodable_trace_entries_raise(self):
+        """A decode failure raises, as the scalar ``run`` does."""
         gate = physical_gate("MAJ3", 1)
         simulator = GateSimulator(gate, amplitudes=np.zeros((1, 3)))
         patterns = gate.exhaustive_patterns()
         with pytest.raises(SimulationError):
             simulator.run_batch(patterns)
-        runs = simulator.run_batch(patterns, strict=False)
-        assert runs == [None] * len(patterns)
 
     def test_strict_default_matches_scalar_run(self):
         gate = physical_gate("XOR2", 2)
         simulator = GateSimulator(gate)
         patterns = gate.exhaustive_patterns()
-        batched = simulator.run_batch(patterns, strict=False)
+        batched = simulator.run_batch(patterns)
         for run, words in zip(batched, patterns):
             reference = simulator.run(words)
             assert run.decoded == reference.decoded

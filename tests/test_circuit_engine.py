@@ -21,6 +21,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.circuits import (
     CellFault,
     CircuitEngine,
@@ -366,23 +367,39 @@ class TestTraceMode:
         with pytest.raises(NetlistError, match="unknown execution mode"):
             engine.run_scalar([{"a": 0, "b": 0, "cin": 0}], mode="waveform")
 
-    def test_trace_basis_cache_reused_across_runs(self):
-        """Repeated trace runs reuse the memoised carrier bases."""
+    def test_trace_weights_reused_across_runs(self):
+        """Trace maps are built once and serve every later run.
+
+        The first trace run builds each operation's lock-in-projected
+        weights and the artifact's per-level stacks; later runs -- with
+        or without amplitude/phase noise, which keep the nominal
+        geometry -- reuse the same frozen arrays, run one GEMM pair per
+        physical level and memoise no carrier basis.
+        """
         netlist, _, _ = full_adder()
         engine = CircuitEngine(netlist, n_bits=2)
         batch = exhaustive_batch(netlist)[:2]
         engine.run_trace_batch(batch)
-        model = engine.model()
-        cached = len(model._basis_cache)
-        assert cached > 0
+        artifact = engine.compiled()
+        level_maps = artifact._trace_maps
+        assert level_maps is not None
+        simulators = [engine.simulator_for(op) for op in ("MAJ3", "XOR2")]
+        weights = [simulator.trace_weights() for simulator in simulators]
+        registry = obs.get_registry()
+        before = registry.counter("circuit.level_gemms")
         engine.run_trace_batch(batch)
         engine.run_trace_batch(
             batch, noise=NoiseModel(phase_sigma=0.1, seed=5)
-        )  # amplitude/phase noise keeps the nominal geometry
-        assert len(model._basis_cache) == cached
-        for basis_sin, basis_cos in model._basis_cache.values():
-            assert not basis_sin.flags.writeable
-            assert not basis_cos.flags.writeable
+        )
+        physical_levels = sum(1 for plan in artifact.levels if plan.ops)
+        assert registry.counter("circuit.level_gemms") - before == (
+            2 * physical_levels
+        )
+        assert artifact._trace_maps is level_maps
+        for simulator, maps in zip(simulators, weights):
+            assert simulator.trace_weights() is maps
+            assert all(not array.flags.writeable for array in maps)
+        assert engine.model()._basis_cache == {}
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.core.faults import FaultySimulator, TransducerFault
 from repro.core.frequency_plan import FrequencyPlan
 from repro.core.gate import DataParallelGate, GateKind
 from repro.core.layout import InlineGateLayout
+from repro.core.readout import MIN_AMPLITUDE_RATIO, decode_phasor_block
 from repro.core.simulate import GateSimulator
 from repro.errors import SimulationError
 from repro.units import GHZ
@@ -517,6 +518,71 @@ class TestTraceGeometryBranches:
             rtol=0,
             atol=0,
         )
+
+
+# ----------------------------------------------------------------------
+# Lock-in-projected trace weights (the circuit trace path's operands)
+# ----------------------------------------------------------------------
+class TestTraceWeights:
+    @pytest.mark.parametrize(
+        "kind,inverted",
+        [
+            (GateKind.MAJORITY, (False, True)),
+            (GateKind.XOR, (False, False)),
+        ],
+    )
+    @pytest.mark.parametrize("trace_sigma", [0.0, 0.05])
+    def test_projection_matches_run_batch(self, kind, inverted, trace_sigma):
+        """``E @ A + conj(E) @ B (+ noise @ R)`` decodes exactly as the
+        full time-domain ``run_batch`` does, to <= 1e-12."""
+        gate = make_gate(kind, 2, inverted)
+        simulator = GateSimulator(gate)
+        patterns = gate.exhaustive_patterns()[:4]
+        noises = [
+            None,
+            NoiseModel(trace_sigma=trace_sigma, seed=3),
+            NoiseModel(
+                trace_sigma=trace_sigma, amplitude_sigma=0.05,
+                phase_sigma=0.1, seed=9,
+            ),
+            NoiseModel(trace_sigma=trace_sigma, seed=3),
+        ]
+        reference = simulator.run_batch(patterns, noises=noises)
+        forward, backward, lock_ins = simulator.trace_weights()
+        bank = simulator.build_source_bank(patterns, noises)
+        excite = bank.amplitude * np.exp(1j * bank.phase)
+        phasors = excite @ forward + excite.conj() @ backward
+        for entry, noise in enumerate(noises):
+            if noise is not None:
+                phasors[entry] += (
+                    noise.trace_perturbation(len(lock_ins)) @ lock_ins
+                )
+        bits, phases, amplitudes, margins, dead = decode_phasor_block(
+            phasors, *simulator.calibration_arrays(),
+            amplitude_readout=gate.kind.uses_amplitude_readout,
+            min_amplitude_ratio=MIN_AMPLITUDE_RATIO,
+        )
+        assert not dead.any()
+        for entry, run in enumerate(reference):
+            assert bits[entry].tolist() == run.decoded
+            for channel, decode in enumerate(run.decodes):
+                assert phase_distance(
+                    phases[entry, channel], decode.phase
+                ) <= TOL
+                assert amplitudes[entry, channel] == pytest.approx(
+                    decode.amplitude, rel=TOL, abs=TOL
+                )
+                assert margins[entry, channel] == pytest.approx(
+                    decode.margin, rel=TOL, abs=TOL
+                )
+
+    def test_memoised_and_frozen(self):
+        gate = make_gate(GateKind.MAJORITY, 2, (False, True))
+        simulator = GateSimulator(gate)
+        maps = simulator.trace_weights()
+        assert simulator.trace_weights() is maps
+        assert all(not array.flags.writeable for array in maps)
+        assert simulator.model._basis_cache == {}
 
 
 # ----------------------------------------------------------------------

@@ -215,6 +215,26 @@ class TestErrorMapping:
             status = error.code
         assert status == 400
 
+    def test_negative_content_length_is_http_400(self, server):
+        """A negative Content-Length is refused before any body read
+        (reading -1 bytes would block until the client hung up)."""
+        import socket
+
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=5
+        ) as sock:
+            sock.sendall(
+                b"POST /v1/run HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: -1\r\n\r\n"
+            )
+            response = b""
+            while chunk := sock.recv(4096):  # the daemon closes after it
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert json.loads(body)["error"]["type"] == "NetlistError"
+
     def test_unknown_route_is_http_404(self, client):
         status, _ = client._request("GET", "/nope")
         assert status == 404
