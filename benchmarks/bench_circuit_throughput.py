@@ -11,6 +11,10 @@ engine and evaluated on a batch of word groups two ways:
   executes every physical cell of a level -- MAJ3 and XOR2 alike -- as
   ONE GEMM against block-stacked weights into preallocated buffers.
 
+``mode="executor-trace"`` times a whole in-process trace-mode
+``CircuitExecutor.run`` of the 64-word batch (the ``trace-rca4``
+perfbench shape), so request bookkeeping is on the scoreboard too.
+
 ``mode="compile+run"`` times the cold path (staged ``compile()`` plus
 one packed run) so the compiled-reuse advantage -- the steady-state
 packed row beating first-run compile+execute -- stays on the scoreboard.
@@ -265,6 +269,25 @@ def test_engine_trace_scalar_throughput(benchmark, trace_setup):
     result = benchmark(engine.run_scalar, batch, mode="trace")
     assert result.correct
     _record(benchmark, engine, netlist, batch, "trace-scalar")
+
+
+def test_executor_inprocess_trace_throughput(benchmark, adder_setup):
+    """One in-process 64-word trace-mode ``CircuitExecutor.run``.
+
+    The shape of the ``trace-rca4`` perfbench workload: submit and
+    resolve at once, so the row covers the whole in-process request --
+    input validation, signature checks, the packed GEMM pairs, the
+    Boolean reference and result construction -- not just the physics.
+    """
+    from repro.circuits import CircuitExecutor
+
+    engine, netlist, batch = adder_setup
+    executor = CircuitExecutor(bindings=engine.bindings)
+    executor.run(netlist, batch, mode="trace")  # warm compile + weights
+
+    result = benchmark(executor.run, netlist, batch, mode="trace")
+    assert result.correct
+    _record(benchmark, engine, netlist, batch, "executor-trace")
 
 
 def test_engine_fault_sweep_throughput(benchmark, adder_setup):

@@ -41,18 +41,29 @@ simulator hook was replaced (:func:`physics_pristine` false) raises
 :class:`~repro.errors.SimulationError`, since the baked artifact would
 silently skip the override.
 
+Once validated, a request stays an array: the ``(n_inputs, n_entries)``
+block of :func:`~repro.circuits.netlist.input_block` is written into
+the value buffer and handed to
+:meth:`~repro.circuits.netlist.Netlist.evaluate_block` for the Boolean
+reference, so no assignment dict is read twice.  Results are built
+columnar: outputs are one slice of the value buffer, level margins are
+masked reductions over the live lanes, and the per-cell records are
+built from copied-out columns only when
+:attr:`~repro.circuits.engine.CircuitRunResult.cells` is read.
+
 Artifacts key on :func:`netlist_signature` (a content hash of the DAG
-plus outputs) -- :class:`CompiledCircuitCache` is the LRU compile cache
-the coalescing :class:`~repro.circuits.executor.CircuitExecutor` serves
+plus outputs, memoised on the netlist per topology revision and output
+list) -- :class:`CompiledCircuitCache` is the LRU compile cache the
+coalescing :class:`~repro.circuits.executor.CircuitExecutor` serves
 many circuits from.
 """
 
-import hashlib
 import math
 import pickle
 import time
 from collections import OrderedDict
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -62,10 +73,10 @@ from repro.circuits.engine import (
     CircuitRunResult,
     LevelReport,
     check_mode,
-    input_block,
     normalise_faults,
 )
 from repro.circuits.library import PHYSICAL_BINDINGS, physical_arity
+from repro.circuits.netlist import input_block
 from repro.core.faults import FaultySimulator
 from repro.core.readout import MIN_AMPLITUDE_RATIO, decode_phasor_block
 from repro.core.simulate import GateSimulator
@@ -124,14 +135,13 @@ def netlist_signature(netlist):
     :class:`~repro.circuits.executor.CircuitExecutor`.  Output edits
     (:meth:`~repro.circuits.netlist.Netlist.mark_output`) change the
     signature even though they do not bump the topology revision --
-    caches keyed here never serve stale output lists.
+    caches keyed here never serve stale output lists.  The hash is
+    memoised on the netlist per ``(topology_revision, outputs)``
+    (:meth:`~repro.circuits.netlist.Netlist.signature`), so a request
+    that is hashed at submit, at flush and at the cache lookup pays
+    for one hash.
     """
-    digest = hashlib.sha256()
-    for name in sorted(netlist.topological_order()):
-        node = netlist.node(name)
-        digest.update(repr((node.name, node.kind, node.fanin)).encode())
-    digest.update(repr(tuple(netlist.outputs)).encode())
-    return digest.hexdigest()
+    return netlist.signature()
 
 
 def validate_request(netlist, n_bits, batch, faults, noise, mode):
@@ -141,7 +151,7 @@ def validate_request(netlist, n_bits, batch, faults, noise, mode):
     :meth:`~repro.circuits.executor.CircuitExecutor.submit`, so a bad
     request raises at its call site, never mid-block.  Returns
     ``(input block, fault map)``; see
-    :func:`~repro.circuits.engine.input_block` and
+    :func:`~repro.circuits.netlist.input_block` and
     :func:`~repro.circuits.engine.normalise_faults`.
     """
     check_mode(mode)
@@ -201,16 +211,61 @@ class _LevelPlan:
 class _PackedRun:
     """Scratch state of one padded execution (consumed immediately)."""
 
-    __slots__ = ("n_groups", "n_valid", "buf", "failed", "level_data",
-                 "dead_meta")
+    __slots__ = ("buf", "failed", "level_data", "dead_meta")
 
-    def __init__(self, n_groups, n_valid, buf, failed, level_data, dead_meta):
-        self.n_groups = n_groups
-        self.n_valid = n_valid
+    def __init__(self, buf, failed, level_data, dead_meta):
         self.buf = buf
         self.failed = failed
         self.level_data = level_data
         self.dead_meta = dead_meta
+
+
+def _request_lanes(array, n_entries):
+    """A request's ``(n_cells, groups, n_bits)`` slice as ``(n_cells,
+    n_entries)``: its groups are full but for the last, so its valid
+    lanes are the first ``n_entries`` of each flattened row."""
+    return array.reshape(len(array), -1)[:, :n_entries]
+
+
+def _cell_records(levels, values, level_data, n_entries, n_bits):
+    """One request's ``{name: CellRecord}``, built on the first read of
+    :attr:`~repro.circuits.engine.CircuitRunResult.cells`.
+
+    ``values`` is the request's ``(n_slots, n_entries)`` copy of the
+    value buffer; ``level_data`` holds per level the ``(op, margins,
+    amplitudes, dead_rows)`` of each packed op, sliced to the request's
+    groups.  A dead (cell, group) reads ``None`` bits and NaN margins
+    and amplitudes over its valid lanes.
+    """
+    records = {}
+    for plan, op_data in zip(levels, level_data):
+        for name, slot, kind in plan.v_names:
+            records[name] = CellRecord(
+                name=name,
+                operation=kind,
+                level=plan.level,
+                bits=values[slot].tolist(),
+            )
+        for op, margins, amplitudes, dead_rows in op_data:
+            bits = values[op.out_slots].tolist()
+            margins = _request_lanes(margins, n_entries).tolist()
+            amplitudes = _request_lanes(amplitudes, n_entries).tolist()
+            for cell_index, group in np.argwhere(dead_rows).tolist():
+                lo = group * n_bits
+                hi = min(lo + n_bits, n_entries)
+                bits[cell_index][lo:hi] = [None] * (hi - lo)
+                margins[cell_index][lo:hi] = [math.nan] * (hi - lo)
+                amplitudes[cell_index][lo:hi] = [math.nan] * (hi - lo)
+            for cell_index, name in enumerate(op.names):
+                records[name] = CellRecord(
+                    name=name,
+                    operation=op.operation,
+                    level=plan.level,
+                    bits=bits[cell_index],
+                    margins=margins[cell_index],
+                    amplitudes=amplitudes[cell_index],
+                )
+    return records
 
 
 class CompiledCircuit:
@@ -482,7 +537,7 @@ class CompiledCircuit:
         """Write one request's input block into its group span of ``buf``.
 
         ``block`` is the validated ``(n_inputs, n_entries)`` array of
-        :func:`~repro.circuits.engine.input_block`; padding tail bits
+        :func:`~repro.circuits.netlist.input_block`; padding tail bits
         are explicitly zeroed because the buffer is reused across runs.
         """
         start = group_start * self.n_bits
@@ -538,6 +593,10 @@ class CompiledCircuit:
         registry = obs.get_registry() if registry is None else registry
         registry.inc("circuit.packed_runs")
         trace_maps = self._trace_level_maps() if mode == "trace" else None
+        # Whether an op's excitations need per-row mutation: any noisy
+        # group mutates every op, a fault only the ops holding its cell.
+        noisy = any(context[0] is not None for context in contexts)
+        faulted = set().union(*group_faults)
         for level_index, plan in enumerate(self.levels):
             if plan.v_out is not None:
                 source = buf[plan.v_src]
@@ -550,13 +609,12 @@ class CompiledCircuit:
                 with registry.span(f"circuit/level/{mode}"):
                     self._execute_level(
                         level_index, plan, buf, failed, n_groups, n_valid,
-                        contexts, group_faults, draws, op_data, dead_meta,
+                        contexts, group_faults, noisy, faulted, draws,
+                        op_data, dead_meta,
                         trace_maps and trace_maps[level_index],
                     )
             level_data.append(op_data)
         return _PackedRun(
-            n_groups=n_groups,
-            n_valid=n_valid,
             buf=buf,
             failed=failed,
             level_data=level_data,
@@ -564,11 +622,13 @@ class CompiledCircuit:
         )
 
     def _execute_level(self, level_index, plan, buf, failed, n_groups,
-                       n_valid, contexts, group_faults, draws, op_data,
-                       dead_meta, trace):
+                       n_valid, contexts, group_faults, noisy, faulted,
+                       draws, op_data, dead_meta, trace):
         """One cross-op packed GEMM evaluates every physical cell;
         trace mode passes the level's ``(A, B, lock_ins)``
-        (:meth:`_trace_level_maps`) as ``trace``."""
+        (:meth:`_trace_level_maps`) as ``trace``.  ``noisy`` tells
+        whether any group carries a noise model and ``faulted`` names
+        every faulted cell of the block."""
         n_bits = self.n_bits
         padded = n_groups * n_bits
         excite = self._excite_buffer(level_index, plan, n_groups)
@@ -588,17 +648,12 @@ class CompiledCircuit:
                 .reshape(rows, n_sources)
             )
             phase = op.phase_lut[bits]
-            amplitude = np.broadcast_to(op.amp_row, (rows, n_sources))
+            amplitude = op.amp_row  # broadcast over the rows
             row_refs = None
             forced_dead = None
             noise_rows = []
-            mutate = any(contexts[g][0] is not None for g in range(n_groups))
-            mutate = mutate or any(
-                name in faults
-                for faults in group_faults for name in op.names
-            )
-            if mutate:
-                amplitude = np.array(amplitude)
+            if noisy or not faulted.isdisjoint(op.names):
+                amplitude = np.tile(amplitude, (rows, 1))
                 for cell_index, name in enumerate(op.names):
                     physical_index = op.physical_indices[cell_index]
                     for group in range(n_groups):
@@ -747,78 +802,60 @@ class CompiledCircuit:
         """Materialise one request's :class:`CircuitRunResult`.
 
         Must run before the next execution: the value buffer is shared
-        scratch, so every list the result carries is copied out here.
+        scratch, so the request's columns are copied out here.  Outputs
+        and level margins are built now; the per-cell records only when
+        ``cells`` is first read (:func:`_cell_records`).
         """
         n_bits = self.n_bits
         start = group_start * n_bits
-        buf = packed.buf
-        n_valid = packed.n_valid
-        records = {}
+        values = packed.buf[:, start : start + n_entries].copy()
+        failed = packed.failed[start : start + n_entries]
         level_reports = []
+        level_data = []
         for plan, op_data in zip(self.levels, packed.level_data):
-            for name, slot, kind in plan.v_names:
-                records[name] = CellRecord(
-                    name=name,
-                    operation=kind,
-                    level=plan.level,
-                    bits=buf[slot, start : start + n_entries].tolist(),
-                )
-            minimum = math.inf
-            have_margin = False
-            for op, margins, amplitudes, dead_rows in op_data:
-                for cell_index, name in enumerate(op.names):
-                    bits_list = []
-                    margin_list = []
-                    amplitude_list = []
-                    row = buf[op.out_slots[cell_index]]
-                    for group in range(group_start, group_end):
-                        valid = n_valid[group]
-                        if dead_rows[cell_index, group]:
-                            bits_list.extend([None] * valid)
-                            margin_list.extend([math.nan] * valid)
-                            amplitude_list.extend([math.nan] * valid)
-                            continue
-                        window = slice(
-                            group * n_bits, group * n_bits + valid
-                        )
-                        bits_list.extend(row[window].tolist())
-                        chunk = margins[cell_index, group, :valid]
-                        margin_list.extend(chunk.tolist())
-                        amplitude_list.extend(
-                            amplitudes[cell_index, group, :valid].tolist()
-                        )
-                        have_margin = True
-                        minimum = min(minimum, chunk.min())
-                    records[name] = CellRecord(
-                        name=name,
-                        operation=op.operation,
-                        level=plan.level,
-                        bits=bits_list,
-                        margins=margin_list,
-                        amplitudes=amplitude_list,
-                    )
+            span = [
+                (op, margins[:, group_start:group_end],
+                 amplitudes[:, group_start:group_end],
+                 dead_rows[:, group_start:group_end])
+                for op, margins, amplitudes, dead_rows in op_data
+            ]
+            level_data.append(span)
+            minimum = None
+            for op, margins, _, dead_rows in span:
+                live = ~dead_rows
+                if not live.any():
+                    continue
+                lanes = _request_lanes(margins, n_entries)
+                if not live.all():
+                    lanes = lanes[
+                        np.repeat(live, n_bits, axis=1)[:, :n_entries]
+                    ]
+                low = lanes.min()
+                minimum = low if minimum is None else min(minimum, low)
             level_reports.append(
                 LevelReport(
                     level=plan.level,
                     n_cells=plan.n_cells,
                     n_physical=plan.n_physical,
-                    min_margin=float(minimum) if have_margin else None,
+                    min_margin=None if minimum is None else float(minimum),
                 )
             )
-        failed = packed.failed[start : start + n_entries]
-        outputs = {}
-        for name in netlist.outputs:
-            column = buf[self._slots[name], start : start + n_entries]
-            outputs[name] = [
-                None if failed[i] else int(column[i])
-                for i in range(n_entries)
-            ]
+        names = netlist.outputs
+        columns = values[[self._slots[name] for name in names]].tolist()
+        if failed.any():
+            dead = np.flatnonzero(failed).tolist()
+            for column in columns:
+                for entry in dead:
+                    column[entry] = None
         return CircuitRunResult(
-            outputs=outputs,
+            outputs=dict(zip(names, columns)),
             expected=expected,
             failed=failed.tolist(),
             levels=level_reports,
-            cells=records,
+            cells=partial(
+                _cell_records, self.levels, values, level_data, n_entries,
+                n_bits,
+            ),
             n_entries=n_entries,
             faults=list(faults),
             mode=mode,
@@ -856,7 +893,7 @@ class CompiledCircuit:
             error = self._first_dead(packed, 0, n_groups)
             if error is not None:
                 raise error
-        expected = self.netlist.evaluate_batch(batch)
+        expected = self.netlist.evaluate_block(block)
         return self._build_result(
             packed, self.netlist, 0, n_groups, n_entries, expected, faults,
             mode,

@@ -81,6 +81,7 @@ import numpy as np
 
 from repro import obs
 from repro.circuits.library import PHYSICAL_BINDINGS, GateBindings
+from repro.circuits.netlist import input_block
 from repro.core.faults import TransducerFault
 from repro.errors import NetlistError, ReproError, SimulationError
 
@@ -109,42 +110,6 @@ def check_mode(mode):
             f"unknown execution mode {mode!r}; "
             "supported: 'phasor', 'trace'"
         )
-
-
-def input_block(netlist, batch):
-    """Validated primary-input bits of ``batch`` as one int64 block.
-
-    Returns an ``(n_inputs, n_entries)`` array whose rows follow
-    ``sorted(netlist.inputs)``: the input names are part of the netlist
-    signature but their insertion order is not, so every netlist that
-    shares a compiled artifact (and a coalesced block) shares this row
-    order.  Every input must be present in every assignment, and every
-    value must be a bool or a number equal to 0 or 1 -- fractional
-    (``0.7``), string (``"1"``) and ``None`` values raise
-    :class:`~repro.errors.NetlistError` before any int64 cast could
-    truncate them.  The check runs once over the whole block.
-    """
-    if not batch:
-        raise NetlistError("no assignments supplied")
-    names = sorted(netlist.inputs)
-    try:
-        rows = [[assignment[name] for name in names] for assignment in batch]
-    except KeyError as exc:
-        raise NetlistError(
-            f"no value supplied for input {exc.args[0]!r}"
-        ) from None
-    try:
-        block = np.array(rows)
-    except ValueError:  # ragged nested values
-        block = None
-    if (
-        block is None
-        or block.shape != (len(batch), len(names))
-        or block.dtype.kind not in "biuf"
-        or not np.isin(block, (0, 1)).all()
-    ):
-        raise NetlistError("logic values must all be 0 or 1")
-    return block.T.astype(np.int64)
 
 
 def normalise_faults(netlist, faults):
@@ -202,26 +167,55 @@ class LevelReport:
     min_margin: float = None
 
 
+class _LazyCells:
+    """The ``cells`` field of :class:`CircuitRunResult`.
+
+    Holds either the ``{name: CellRecord}`` dict or a zero-argument
+    callable that builds it; the callable runs once, on first read.
+    """
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            # A required field: the dataclass finds no default here.
+            raise AttributeError("cells")
+        cells = result.__dict__["_cells"]
+        if callable(cells):
+            cells = result.__dict__["_cells"] = cells()
+        return cells
+
+    def __set__(self, result, cells):
+        result.__dict__["_cells"] = cells
+
+
 @dataclass
 class CircuitRunResult:
     """Everything produced by one engine evaluation of a batch.
 
     ``outputs[name][i]`` is ``None`` when entry ``i`` failed outright (a
-    fault silenced a decode); ``failed`` marks those entries.  ``levels``
-    carries the per-level decode-margin report; ``cells`` the per-cell
-    decode detail.  ``mode`` records which execution semantics produced
-    the result (``"phasor"`` steady state or ``"trace"`` waveform).
-    ``trace`` is the per-request timing breakdown
+    fault silenced a decode); ``failed`` marks those entries.
+    ``expected`` holds the Boolean reference in the same layout.
+    ``levels`` carries the per-level decode-margin report; ``cells`` the
+    per-cell decode detail.  ``mode`` records which execution semantics
+    produced the result (``"phasor"`` steady state or ``"trace"``
+    waveform).  ``trace`` is the per-request timing breakdown
     (:class:`~repro.circuits.executor.RequestTrace`) when the run was
     served by a tracing :class:`~repro.circuits.executor.CircuitExecutor`
     -- ``None`` for direct engine runs.
+
+    The packed path builds a result columnar: outputs come out of the
+    value buffer as one array slice, level margins as masked array
+    reductions, and ``cells`` is passed as a callable over columns
+    copied out at build time, so the :class:`CellRecord` dict is only
+    built if ``cells`` is read (the serving daemon reads it only for
+    requests that ask for cells).  ``cells`` reads the same either way;
+    :meth:`run_scalar` and the wire decoder pass a plain dict.
     """
 
     outputs: dict
     expected: dict
     failed: list
     levels: list
-    cells: dict
+    cells: dict = _LazyCells()
     n_entries: int
     faults: list = field(default_factory=list)
     mode: str = "phasor"
@@ -234,14 +228,17 @@ class CircuitRunResult:
 
     @property
     def word_errors(self):
-        """Entries that failed or disagree with the Boolean reference."""
-        errors = 0
-        for i in range(self.n_entries):
-            if self.failed[i] or any(
-                self.outputs[o][i] != self.expected[o][i] for o in self.outputs
-            ):
-                errors += 1
-        return errors
+        """Entries that failed or disagree with the Boolean reference
+        (an output of ``None`` never agrees)."""
+        wrong = np.array(self.failed, dtype=bool)
+        for name, got in self.outputs.items():
+            want = self.expected[name]
+            if got != want:
+                # As floats a None output is NaN, which never agrees.
+                wrong |= (
+                    np.array(got, dtype=float) != np.array(want, dtype=float)
+                )
+        return int(wrong.sum())
 
     @property
     def min_margin(self):
@@ -528,7 +525,7 @@ class CircuitEngine:
                 )
             )
 
-        expected = self.netlist.evaluate_batch(batch)
+        expected = self.netlist.evaluate_block(block)
         outputs = {}
         for name in self.netlist.outputs:
             column = values[name][:n_entries]

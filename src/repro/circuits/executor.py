@@ -201,9 +201,8 @@ class _Request:
     """One queued submission plus its pre-validated input block."""
 
     __slots__ = (
-        "netlist", "batch", "faults", "fault_map", "noise", "strict",
-        "ticket", "n_entries", "n_groups", "inputs", "signature",
-        "born", "trace",
+        "netlist", "faults", "fault_map", "noise", "strict", "ticket",
+        "n_entries", "n_groups", "block", "signature", "born", "trace",
     )
 
 
@@ -345,12 +344,11 @@ class CircuitExecutor:
         """
         batch = list(assignments_batch)
         faults = list(faults)
-        inputs, fault_map = validate_request(
+        block, fault_map = validate_request(
             netlist, self.n_bits, batch, faults, noise, mode
         )
         request = _Request()
         request.netlist = netlist
-        request.batch = batch
         request.faults = faults
         request.fault_map = fault_map
         request.noise = noise
@@ -358,7 +356,7 @@ class CircuitExecutor:
         request.ticket = ExecutionTicket(self, request_id=request_id)
         request.n_entries = len(batch)
         request.n_groups = -(-request.n_entries // self.n_bits)
-        request.inputs = inputs
+        request.block = block
         request.signature = netlist_signature(netlist)
         request.born = time.monotonic()
         if self.trace_requests:
@@ -512,7 +510,7 @@ class CircuitExecutor:
                 group_cursor = 0
                 for request in requests:
                     artifact._write_inputs(
-                        buf, request.inputs, group_cursor,
+                        buf, request.block, group_cursor,
                         group_cursor + request.n_groups,
                     )
                     for group in range(request.n_groups):
@@ -601,7 +599,7 @@ class CircuitExecutor:
                             )
                         request.ticket._resolve(error=error, trace=trace)
                         continue
-                expected = request.netlist.evaluate_batch(request.batch)
+                expected = request.netlist.evaluate_block(request.block)
                 result = artifact._build_result(
                     packed, request.netlist, group_start, group_end,
                     request.n_entries, expected, request.faults, mode,

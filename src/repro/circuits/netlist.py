@@ -15,11 +15,23 @@ output) deliberately does not: the cached tuples depend only on the
 DAG, and every output-sensitive query (:meth:`Netlist.evaluate`,
 :meth:`Netlist.depth`, :meth:`Netlist.critical_path`) reads the live
 output list on top of the cache -- pinned by the regression tests in
-``tests/test_circuits.py``.  :meth:`Netlist.evaluate_batch` evaluates
-many assignments as whole-array operations -- it is the Boolean
-reference the physical circuit engine
+``tests/test_circuits.py``.
+
+:meth:`Netlist.evaluate_block` evaluates a validated ``(n_inputs,
+n_entries)`` input block (:func:`input_block`, rows in
+``sorted(inputs)`` order) as whole-array operations -- it is the
+Boolean reference the physical circuit engine
 (:class:`repro.circuits.engine.CircuitEngine`, which executes the same
-levelized schedule on batched spin-wave gates) is pinned against.
+levelized schedule on batched spin-wave gates) is pinned against, and
+the compiled and coalescing paths hand it the block they already
+validated.  :meth:`Netlist.evaluate_batch` is the same evaluation over
+``{input name: bit}`` dicts.
+
+:meth:`Netlist.signature` is the content hash of the DAG and output
+list that compiled artifacts and coalescing queues key on.  It is
+memoised per ``(topology_revision, outputs)``: any ``add_*`` call or
+output edit rehashes on the next read, and an unpickled netlist starts
+without it.
 
 >>> netlist = Netlist("demo")
 >>> _ = netlist.add_input("a")
@@ -36,6 +48,7 @@ True
 {'x': 1, 'a': 1}
 """
 
+import hashlib
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -64,6 +77,42 @@ _BATCH_OPERATIONS = {
 }
 
 
+def input_block(netlist, batch):
+    """Validated primary-input bits of ``batch`` as one int64 block.
+
+    Returns an ``(n_inputs, n_entries)`` array whose rows follow
+    ``sorted(netlist.inputs)``: the input names are part of the netlist
+    signature but their insertion order is not, so every netlist that
+    shares a compiled artifact (and a coalesced block) shares this row
+    order.  Every input must be present in every assignment, and every
+    value must be a bool or a number equal to 0 or 1 -- fractional
+    (``0.7``), string (``"1"``) and ``None`` values raise
+    :class:`~repro.errors.NetlistError` before any int64 cast could
+    truncate them.  The check runs once over the whole block.
+    """
+    if not batch:
+        raise NetlistError("no assignments supplied")
+    names = netlist._sorted_inputs()
+    try:
+        rows = [[assignment[name] for name in names] for assignment in batch]
+    except KeyError as exc:
+        raise NetlistError(
+            f"no value supplied for input {exc.args[0]!r}"
+        ) from None
+    try:
+        block = np.array(rows)
+    except ValueError:  # ragged nested values
+        block = None
+    if (
+        block is None
+        or block.shape != (len(batch), len(names))
+        or block.dtype.kind not in "biuf"
+        or not ((block == 0) | (block == 1)).all()
+    ):
+        raise NetlistError("logic values must all be 0 or 1")
+    return block.T.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class Node:
     """One netlist node: a primary input, a constant, or a cell."""
@@ -88,6 +137,16 @@ class Netlist:
         # on it instead of on schedule identity, so pickling or cache
         # round-trips never force spurious recompiles.
         self._revision = 0
+        # ((revision, outputs), digest) of the last signature() call.
+        self._signature_memo = None
+
+    def __setstate__(self, state):
+        # Derived caches restart empty after unpickling: a loaded
+        # artifact's netlist always hashes afresh when it is verified,
+        # and a pickle of an older cache layout is never read.
+        self.__dict__.update(state)
+        self._topology_cache = None
+        self._signature_memo = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -191,6 +250,12 @@ class Netlist:
         """Primary output names in registration order."""
         return list(self._outputs)
 
+    def _sorted_inputs(self):
+        """Input names in ``sorted`` order: the rows of an input block."""
+        return sorted(
+            node.name for node in self._topology()[4] if node.kind == "input"
+        )
+
     def cells(self, operation=None):
         """Cell nodes, optionally filtered by operation."""
         result = []
@@ -213,20 +278,21 @@ class Netlist:
     # Topology (cached)
     # ------------------------------------------------------------------
     def _topology(self):
-        """Cached ``(order, levels, parents, schedule)`` of the DAG.
+        """Cached ``(order, levels, parents, schedule, nodes)`` of the DAG.
 
         One topological sort serves :meth:`evaluate`,
-        :meth:`evaluate_batch`, :meth:`depth`, :meth:`critical_path` and
-        the physical engine's level schedule; any ``add_*`` call
-        invalidates the cache.
+        :meth:`evaluate_block`, :meth:`signature`, :meth:`depth`,
+        :meth:`critical_path` and the physical engine's level schedule;
+        ``nodes`` holds the :class:`Node` records in topological order.
+        Any ``add_*`` call invalidates the cache.
         """
         if self._topology_cache is None:
             order = tuple(nx.topological_sort(self._graph))
+            nodes = tuple(self._graph.nodes[name]["node"] for name in order)
             levels = {}
             parents = {}
             buckets = {}
-            for name in order:
-                node = self._graph.nodes[name]["node"]
+            for name, node in zip(order, nodes):
                 if node.kind in ("input", "const0", "const1"):
                     levels[name] = 0
                     parents[name] = None
@@ -238,7 +304,7 @@ class Netlist:
             schedule = tuple(
                 tuple(buckets[level]) for level in sorted(buckets)
             )
-            self._topology_cache = (order, levels, parents, schedule)
+            self._topology_cache = (order, levels, parents, schedule, nodes)
         return self._topology_cache
 
     def node(self, name):
@@ -294,44 +360,70 @@ class Netlist:
             raise NetlistError(f"outputs {missing!r} were never computed")
         return {o: values[o] for o in self._outputs}
 
-    def evaluate_batch(self, assignments_batch):
-        """Vectorised :meth:`evaluate` over many assignments.
+    def evaluate_block(self, block):
+        """Vectorised :meth:`evaluate` over a validated input block.
 
-        ``assignments_batch`` is a sequence of ``{input name: bit}``
-        mappings; every node evaluates once as a whole-array operation
-        over the batch.  Returns ``{output name: list of bits}`` whose
-        entry ``i`` equals ``evaluate(assignments_batch[i])``.  This is
-        the Boolean reference of the physical circuit engine.
+        ``block`` is the ``(n_inputs, n_entries)`` int64 array of
+        :func:`input_block`: one row per primary input in
+        ``sorted(self.inputs)`` order, every value already checked to
+        be 0 or 1.  Walking the cached topological order, every node
+        evaluates once as a whole-array operation over the entries.
+        Returns ``{output name: list of bits}`` whose entry ``i`` is the
+        output of column ``i``.  This is the Boolean reference of the
+        physical circuit engine.
         """
-        assignments_batch = list(assignments_batch)
-        if not assignments_batch:
-            raise NetlistError("no assignments supplied")
-        n_sets = len(assignments_batch)
-        values = {}
-        for name in self.topological_order():
-            node = self._graph.nodes[name]["node"]
+        names = self._sorted_inputs()
+        if len(block) != len(names):
+            raise NetlistError(
+                f"input block has {len(block)} rows, the netlist "
+                f"{len(names)} inputs"
+            )
+        values = dict(zip(names, block))
+        n_entries = block.shape[1]
+        for node in self._topology()[4]:
             if node.kind == "input":
-                try:
-                    column = [a[name] for a in assignments_batch]
-                except KeyError:
-                    raise NetlistError(
-                        f"no value supplied for input {name!r}"
-                    ) from None
-                array = np.asarray(
-                    [validate_bit(b) for b in column], dtype=np.int64
-                )
-                values[name] = array
-            elif node.kind == "const0":
-                values[name] = np.zeros(n_sets, dtype=np.int64)
+                continue
+            if node.kind == "const0":
+                values[node.name] = np.zeros(n_entries, dtype=np.int64)
             elif node.kind == "const1":
-                values[name] = np.ones(n_sets, dtype=np.int64)
+                values[node.name] = np.ones(n_entries, dtype=np.int64)
             else:
-                fanin = [values[d] for d in node.fanin]
-                values[name] = _BATCH_OPERATIONS[node.kind](fanin)
-        missing = [o for o in self._outputs if o not in values]
-        if missing:
-            raise NetlistError(f"outputs {missing!r} were never computed")
+                values[node.name] = _BATCH_OPERATIONS[node.kind](
+                    [values[driver] for driver in node.fanin]
+                )
         return {o: values[o].tolist() for o in self._outputs}
+
+    def evaluate_batch(self, assignments_batch):
+        """:meth:`evaluate_block` over ``{input name: bit}`` mappings.
+
+        Entry ``i`` of every returned output list equals
+        ``evaluate(assignments_batch[i])``; the assignments are
+        validated once, as a whole block (:func:`input_block`).
+        """
+        return self.evaluate_block(input_block(self, list(assignments_batch)))
+
+    def signature(self):
+        """Canonical content hash of the DAG and the output list.
+
+        Two netlists with equal signatures have identical node names,
+        kinds, fanin wiring and output registrations (insertion order
+        and the netlist name are not part of it).  Memoised per
+        ``(topology_revision, outputs)``, so a netlist hashes once per
+        state: any ``add_*`` call or :meth:`mark_output` edit rehashes
+        on the next read.  See
+        :func:`~repro.circuits.compiled.netlist_signature`.
+        """
+        key = (self._revision, tuple(self._outputs))
+        memo = self._signature_memo
+        if memo is None or memo[0] != key:
+            digest = hashlib.sha256()
+            for node in sorted(self._topology()[4], key=lambda n: n.name):
+                digest.update(
+                    repr((node.name, node.kind, node.fanin)).encode()
+                )
+            digest.update(repr(key[1]).encode())
+            memo = self._signature_memo = (key, digest.hexdigest())
+        return memo[1]
 
     def depth(self):
         """Logic depth in cell levels (inputs/constants are level 0)."""
@@ -342,7 +434,7 @@ class Netlist:
 
     def critical_path(self):
         """One deepest input-to-output node path (list of names)."""
-        _, levels, parents, _ = self._topology()
+        _, levels, parents, _, _ = self._topology()
         if not levels:
             return []
         terminals = self._outputs or list(levels)

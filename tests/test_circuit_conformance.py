@@ -112,6 +112,15 @@ def assert_pinned(result, reference):
     """A batched CircuitRunResult equals its scalar reference <= 1e-12."""
     assert result.outputs == reference.outputs
     assert result.failed == reference.failed
+    assert len(result.levels) == len(reference.levels)
+    for mine, ref in zip(result.levels, reference.levels):
+        assert (mine.level, mine.n_cells, mine.n_physical) == (
+            ref.level, ref.n_cells, ref.n_physical
+        )
+        if ref.min_margin is None:
+            assert mine.min_margin is None
+        else:
+            assert abs(mine.min_margin - ref.min_margin) <= TOL
     assert set(result.cells) == set(reference.cells)
     for name, record in result.cells.items():
         ref = reference.cells[name]
@@ -466,6 +475,31 @@ class TestWeakCarrierRule:
         with pytest.raises(SimulationError) as scalar_error:
             engine.run_scalar(batch, faults=faults, mode="trace")
         assert str(packed_error.value) == str(scalar_error.value)
+
+    def test_level_margin_skips_dead_groups(self):
+        """A level's min margin reduces over live groups only: with one
+        dead and one live group in the same cell, it is the live group's
+        minimum, as in the scalar reference."""
+        netlist = Netlist("half-dead")
+        for name in ("a", "b", "c"):
+            netlist.add_input(name)
+        netlist.add_cell("m", "MAJ3", ("a", "b", "c"))
+        netlist.mark_output("m")
+        engine = CircuitEngine(netlist, n_bits=N_BITS)
+        faults = [CellFault(
+            "m", TransducerFault("dead-source", channel=0, input_index=0)
+        )]
+        # Group 0's channel 0 nearly cancels (b != c); group 1's adds up.
+        batch = [
+            {"a": 1, "b": 0, "c": 1}, {"a": 0, "b": 1, "c": 1},
+            {"a": 0, "b": 1, "c": 1}, {"a": 1, "b": 0, "c": 0},
+        ]
+        trace = engine.run(batch, faults=faults, strict=False, mode="trace")
+        assert trace.failed == [True, True, False, False]
+        assert trace.levels[0].min_margin is not None
+        assert_pinned(trace, engine.run_scalar(
+            batch, faults=faults, strict=False, mode="trace"
+        ))
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from itertools import product
 
+import numpy as np
 import pytest
 
 from repro.errors import NetlistError
@@ -223,6 +224,65 @@ class TestEvaluateBatch:
         netlist, _, _ = full_adder()
         with pytest.raises(Exception):
             netlist.evaluate_batch([{"a": 2, "b": 0, "cin": 0}])
+
+
+def _shuffled_inputs(netlist, seed):
+    """A structurally equal copy whose inputs are declared in a
+    shuffled order (cells and constants keep theirs)."""
+    import random
+
+    payload = netlist.to_dict()
+    inputs = [n for n in payload["nodes"] if n["kind"] == "input"]
+    others = [n for n in payload["nodes"] if n["kind"] != "input"]
+    random.Random(seed).shuffle(inputs)
+    payload["nodes"] = inputs + others
+    return Netlist.from_dict(payload)
+
+
+class TestEvaluateBlock:
+    """``evaluate_block`` (the array-native reference the packed paths
+    call) agrees with ``evaluate_batch`` and per-entry ``evaluate``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_block_batch_and_scalar_agree(self, seed):
+        import random
+
+        from repro.circuits.engine import input_block
+
+        rng = random.Random(seed)
+        original = random_netlist(seed, n_inputs=5, n_cells=14, n_outputs=3)
+        # random_netlist wires its constants in, so they are exercised.
+        assert {"const0", "const1"} <= {
+            original.node(n).kind for n in original.topological_order()
+        }
+        for netlist in (original, _shuffled_inputs(original, seed)):
+            batch = [
+                {name: rng.randint(0, 1) for name in netlist.inputs}
+                for _ in range(11)
+            ]
+            block = netlist.evaluate_block(input_block(netlist, batch))
+            assert block == netlist.evaluate_batch(batch)
+            for index, assignment in enumerate(batch):
+                scalar = netlist.evaluate(assignment)
+                assert {o: bits[index] for o, bits in block.items()} == scalar
+
+    def test_rows_follow_sorted_input_names(self):
+        netlist = Netlist("order")
+        netlist.add_input("b")
+        netlist.add_input("a")
+        netlist.add_cell("na", "INV", ("a",))
+        netlist.mark_output("na")
+        netlist.mark_output("b")
+        # Row 0 is "a" (sorted), row 1 is "b", whatever the insertion order.
+        block = np.array([[0, 1, 1], [1, 1, 0]], dtype=np.int64)
+        assert netlist.evaluate_block(block) == {
+            "na": [1, 0, 0], "b": [1, 1, 0],
+        }
+
+    def test_wrong_row_count_raises(self):
+        netlist, _, _ = full_adder()
+        with pytest.raises(NetlistError, match="3 inputs"):
+            netlist.evaluate_block(np.zeros((2, 4), dtype=np.int64))
 
 
 class TestSynthesis:

@@ -7,6 +7,8 @@ LRU hit/miss/invalidate behaviour of the compile cache, recompilation
 when a netlist grows, and the executor's validation and bookkeeping.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,36 @@ class TestNetlistSignature:
         before = netlist_signature(netlist)
         netlist.mark_output("x")  # same DAG, different observed set
         assert netlist_signature(netlist) != before
+
+    def test_hashed_once_per_netlist_state(self, monkeypatch):
+        """The memo serves repeat reads; an ``add_*`` call or an output
+        edit rehashes, and the memoised value always equals the hash of
+        a freshly built twin."""
+        import hashlib
+
+        real = hashlib.sha256
+        calls = []
+        monkeypatch.setattr(
+            hashlib, "sha256", lambda *a: calls.append(1) or real(*a)
+        )
+        netlist, twin = xor_pair("memo"), xor_pair("twin")
+        first = [netlist_signature(netlist) for _ in range(3)]
+        assert len(calls) == 1 and len(set(first)) == 1
+        for edit in (
+            lambda n: n.mark_output("x"),
+            lambda n: n.mark_output("x"),  # a no-op re-registration
+            lambda n: n.add_input("d"),
+            lambda n: n.add_cell("z", "XOR2", ("y", "d")),
+        ):
+            edit(netlist)
+            edit(twin)
+            calls.clear()
+            assert netlist_signature(netlist) == netlist_signature(netlist)
+            assert len(calls) <= 1
+            assert netlist_signature(netlist) == netlist_signature(twin)
+        assert netlist_signature(pickle.loads(pickle.dumps(netlist))) == (
+            netlist_signature(netlist)
+        )
 
 
 class TestCompileCache:
@@ -162,6 +194,82 @@ class TestCompileCache:
         with pytest.raises(SimulationError, match="zero amplitude"):
             engine.run(BATCH)
         assert all(engine.run_scalar(BATCH, strict=False).failed)
+
+
+class TestColumnarResults:
+    """Results are built columnar from the shared value buffer, with
+    per-cell records materialised on first read of ``cells``."""
+
+    @staticmethod
+    def _batches(netlist, n_entries=5):
+        rng = np.random.default_rng(3)
+        return [
+            [{name: int(rng.integers(2)) for name in netlist.inputs}
+             for _ in range(n_entries)]
+            for _ in range(2)
+        ]
+
+    @staticmethod
+    def _assert_cells_match(result, reference):
+        assert list(result.cells) == list(reference.cells)
+        for name, record in result.cells.items():
+            ref = reference.cells[name]
+            assert (record.operation, record.level, record.bits) == (
+                ref.operation, ref.level, ref.bits
+            )
+            if ref.margins is None:
+                assert record.margins is None
+            else:
+                np.testing.assert_allclose(record.margins, ref.margins,
+                                           rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["phasor", "trace"])
+    def test_lazy_cells_survive_scratch_reuse(self, mode):
+        """A result's ``cells``, first read after a later run with other
+        inputs reused the artifact's value buffer, still hold its own
+        values (they were copied out when the result was built)."""
+        netlist = ripple_carry_adder(2)
+        engine = CircuitEngine(netlist, n_bits=N_BITS)
+        artifact = engine.compiled()
+        first_batch, second_batch = self._batches(netlist)
+        assert first_batch != second_batch
+        first = artifact.run(first_batch, mode=mode)
+        second = artifact.run(second_batch, mode=mode)
+        for result, batch in ((first, first_batch), (second, second_batch)):
+            self._assert_cells_match(
+                result, engine.run_scalar(batch, mode=mode)
+            )
+
+    def test_lazy_cells_survive_executor_block_reuse(self):
+        netlist = ripple_carry_adder(2)
+        executor = CircuitExecutor(n_bits=N_BITS)
+        first_batch, second_batch = self._batches(netlist)
+        first = executor.run(netlist, first_batch)
+        executor.run(netlist, second_batch)
+        self._assert_cells_match(
+            first,
+            CircuitEngine(netlist, n_bits=N_BITS).run_scalar(first_batch),
+        )
+
+    def test_word_errors_counts_failed_none_and_mismatch(self):
+        from repro.circuits.engine import CircuitRunResult
+
+        result = CircuitRunResult(
+            outputs={"s": [0, None, 1, 1, 0], "c": [1, 0, None, 0, 1]},
+            expected={"s": [0, 1, 1, 0, 0], "c": [1, 0, 1, 0, 1]},
+            failed=[False, True, False, False, False],
+            levels=[],
+            cells={},
+            n_entries=5,
+        )
+        # Entry 1 failed, entry 2 has a None output, entry 3 disagrees.
+        assert result.word_errors == 3
+        assert not result.correct
+        clean = CircuitRunResult(
+            outputs={"s": [1, 0]}, expected={"s": [1, 0]},
+            failed=[False, False], levels=[], cells={}, n_entries=2,
+        )
+        assert clean.word_errors == 0 and clean.correct
 
 
 class TestExecutorValidation:
@@ -363,6 +471,18 @@ class TestExecutorFailureBookkeeping:
             ticket.result()
         assert executor.stats["errors"]["mutated"] == 1
         assert executor.error_count == 1
+
+    def test_mark_output_after_submit_counted(self):
+        """An output edit alone (no topology change, so no revision
+        bump) between submit and flush still resolves as mutated."""
+        executor = CircuitExecutor(n_bits=N_BITS, max_block=1024)
+        netlist = xor_pair("relabel")
+        ticket = executor.submit(netlist, BATCH)
+        netlist.mark_output("x")
+        executor.flush()
+        with pytest.raises(NetlistError, match="mutated"):
+            ticket.result()
+        assert executor.stats["errors"]["mutated"] == 1
 
     def test_strict_decode_error_counted(self, monkeypatch):
         """A dead strict decode lands in errors.decode, per ticket."""
